@@ -17,8 +17,7 @@ class Fig7SSweepBench extends BenchBase {
     val rows = collection.mutable.ArrayBuffer.empty[Seq[String]]
     for (spec <- specs) {
       val g = Datasets.local(spark, spec)
-      val model = Tpa.Model(Runner.tpaModel(spark, spec).value.stranger,
-                            ExpConfig.c, -1, tFixed)
+      val model = Tpa.Model(Runner.tpaModel(spark, spec).value.stranger, ExpConfig.c, tFixed)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       val sweep = (1 to 8).map { sVal =>
         val runs = seeds.map { s =>

@@ -16,9 +16,9 @@ import repro.graph.LocalGraph
 object Tpa {
 
   /** Precomputed TPA model: the approximate stranger vector plus the
-    * (c, S, T) configuration it was built with.
+    * (c, T) configuration it was built with. S is chosen per query.
     */
-  final case class Model(stranger: Array[Double], c: Double, s: Int, t: Int) {
+  final case class Model(stranger: Array[Double], c: Double, t: Int) {
     /** Bytes of preprocessed data (the paper's Fig 3 metric): one double
       * per node for the stranger vector. The graph itself (O(m)) is an
       * input, not preprocessed output, and is charged to every method
@@ -42,29 +42,44 @@ object Tpa {
     * `p_stranger = Σ_{i=T}^{∞} x'^(i)` of the PageRank CPI series.
     */
   def preprocess(g: LocalGraph, c: Double, eps: Double, t: Int): Model =
-    Model(LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, -1, t)
+    Model(LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, t)
 
   /** Online phase (Algorithm 3) with the stranger vector from [[preprocess]].
     *
     * r_TPA = r_family · (1 + ‖r_nbr‖₁/‖r_fam‖₁) + p_stranger
+    *
+    * Only the family's support is merged into a copy of the stranger vector;
+    * everywhere else r_TPA = p_stranger.
     */
   def online(g: LocalGraph, model: Model, s: Int, seed: Int, eps: Double): Array[Double] = {
-    val fam = family(g, model.c, s, seed, eps)
+    requireQuery(g, s, model.t, seed)
+    require(model.stranger.length == g.n,
+      s"model built for ${model.stranger.length} nodes, graph has ${g.n}")
     val scale = 1.0 + neighborFactor(model.c, s, model.t)
-    val out = new Array[Double](g.n)
-    var i = 0
-    while (i < g.n) { out(i) = fam(i) * scale + model.stranger(i); i += 1 }
-    out
+    addFamily(g, model.c, s, seed, eps, model.stranger.clone(), scale)
   }
 
   /** TPA-NA (Section IV-C): family + scaled neighbor, stranger omitted. */
   def onlineNA(g: LocalGraph, c: Double, s: Int, t: Int, seed: Int, eps: Double): Array[Double] = {
-    val fam = family(g, c, s, seed, eps)
+    requireQuery(g, s, t, seed)
     val scale = 1.0 + neighborFactor(c, s, t)
-    fam.map(_ * scale)
+    addFamily(g, c, s, seed, eps, new Array[Double](g.n), scale)
   }
 
   /** Exact family part `r_family = Σ_{i=0}^{S-1} x^(i)` from seed node. */
-  def family(g: LocalGraph, c: Double, s: Int, seed: Int, eps: Double): Array[Double] =
-    LocalCpi.run(g, LocalCpi.unitSeed(g.n, seed), c, eps, 0, s - 1)
+  def family(g: LocalGraph, c: Double, s: Int, seed: Int, eps: Double): Array[Double] = {
+    requireQuery(g, s, s, seed)
+    addFamily(g, c, s, seed, eps, new Array[Double](g.n), 1.0)
+  }
+
+  /** Adds scale · r_family to `out`, over the family's support, and returns it. */
+  private def addFamily(g: LocalGraph, c: Double, s: Int, seed: Int, eps: Double,
+                        out: Array[Double], scale: Double): Array[Double] =
+    LocalCpi.accumulate(g, c, eps, 0, s - 1)(_.startAt(seed))(_.addTo(out, scale))
+
+  /** Rejects a bad query before any scratch is touched. */
+  private def requireQuery(g: LocalGraph, s: Int, t: Int, seed: Int): Unit = {
+    require(seed >= 0 && seed < g.n, s"seed $seed out of range [0, ${g.n})")
+    require(s >= 1 && t >= s, s"need 1 <= S <= T, got S=$s T=$t")
+  }
 }

@@ -185,7 +185,7 @@ object Experiments {
       g = Datasets.local(spark, spec)
       // Reuse the registry stranger vector only when it was built with T=10.
       model = if (spec.t == tFixed)
-                Tpa.Model(tpaModel(spark, spec).value.stranger, ExpConfig.c, -1, tFixed)
+                Tpa.Model(tpaModel(spark, spec).value.stranger, ExpConfig.c, tFixed)
               else Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tFixed)
       sVal <- 1 to 8
     } yield {

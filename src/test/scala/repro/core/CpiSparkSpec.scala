@@ -96,7 +96,7 @@ class CpiSparkSpec extends SparkSpec {
     val sparkTpa = Cpi.toDense(
       TpaSpark.online(spark, norm, strangerDf, c, s, t, seed.toLong, eps), g.n)
     val localModel = Tpa.Model(
-      LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, -1, t)
+      LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, t)
     val localTpa = Tpa.online(g, localModel, s, seed, eps)
     assert(Metrics.l1(sparkTpa, localTpa) < 1e-9)
   }

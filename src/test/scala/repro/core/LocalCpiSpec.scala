@@ -3,11 +3,13 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baselines.PowerIteration
+import repro.graph.LocalGraph
 import repro.metrics.Metrics
 
 /** CPI-IMPL (Algorithm 1) correctness: Theorem 1 (CPI = PI), agreement
-  * with an independent dense solve, the exact L1 norms of Lemma 3, and
-  * the family/neighbor/stranger partition identity.
+  * with an independent dense solve, the exact L1 norms of Lemma 3, the
+  * family/neighbor/stranger partition identity, and bit-identity of the
+  * sparse-frontier kernel with the plain dense loop in every mode.
   */
 class LocalCpiSpec extends AnyFunSuite {
   val c = 0.15
@@ -141,6 +143,88 @@ class LocalCpiSpec extends AnyFunSuite {
     val g = graphs.head._2
     intercept[IllegalArgumentException] {
       LocalCpi.run(g, new Array[Double](g.n + 1), c, eps, 0, 10)
+    }
+  }
+
+  val kernelGraphs = graphs :+ ("with-dangling-100" -> TestGraphs.withDangling(100, 500, 3))
+
+  /** Accumulation windows (sIter, tIter): the family, neighbor and stranger
+    * parts and the full series.
+    */
+  val windows = Seq((0, 1), (0, 3), (2, 4), (3, 9), (5, Int.MaxValue), (0, Int.MaxValue))
+
+  /** The kernel's result from `q`, and whether the run ended in the dense scan. */
+  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int): (Array[Double], Boolean) =
+    LocalCpi.accumulate(g, c, eps, sIter, tIter)(_.startFrom(q)) { sc =>
+      (sc.addTo(new Array[Double](g.n), 1.0), sc.isDense)
+    }
+
+  /** L1 = 0 (hard gate < 1e-12), and equal bit for bit. */
+  def assertIdentical(actual: Array[Double], expected: Array[Double]): Unit = {
+    assert(Metrics.l1(actual, expected) == 0.0)
+    assert(java.util.Arrays.equals(actual, expected))
+  }
+
+  for ((name, g) <- kernelGraphs; s <- Seq(1, 2); seed <- Seq(0, 7, g.n - 1)) {
+    test(s"kernel: sparse-only family window S=$s equals the dense loop on $name seed $seed") {
+      val q = LocalCpi.unitSeed(g.n, seed)
+      val (r, dense) = kernel(g, q, 0, s - 1)
+      assert(!dense)
+      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, s - 1))
+    }
+  }
+
+  for ((name, g) <- kernelGraphs; seed <- Seq(0, 7)) {
+    test(s"kernel: a unit-seed run that goes dense mid-way equals the dense loop on $name seed $seed") {
+      val q = LocalCpi.unitSeed(g.n, seed)
+      assert(!kernel(g, q, 0, 1)._2, "the first hop should be sparse")
+      for ((sIter, tIter) <- windows)
+        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      // A cycle's frontier never grows, so that run stays sparse to convergence.
+      assert(kernel(g, q, 0, Int.MaxValue)._2 == (name != "cycle-50"))
+    }
+  }
+
+  for ((name, g) <- kernelGraphs) {
+    test(s"kernel: a uniform seed runs dense from the start and equals the dense loop on $name") {
+      val q = LocalCpi.uniformSeed(g.n)
+      assert(kernel(g, q, 0, 1)._2)
+      for ((sIter, tIter) <- windows)
+        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+    }
+  }
+
+  test("kernel: dangling nodes leak the same mass in sparse and dense mode") {
+    val g = TestGraphs.withDangling(100, 500, 3)
+    val dangling = g.n - 1
+    val feeder = (0 until g.n).find(u => (g.offsets(u) until g.offsets(u + 1)).exists(g.targets(_) == dangling)).get
+    val cases = Seq(
+      LocalCpi.unitSeed(g.n, dangling) -> 1, // all mass leaks in the first hop
+      LocalCpi.unitSeed(g.n, feeder) -> 2,
+      LocalCpi.unitSeed(g.n, feeder) -> Int.MaxValue,
+      LocalCpi.uniformSeed(g.n) -> Int.MaxValue)
+    val modes = for ((q, tIter) <- cases) yield {
+      val (r, dense) = kernel(g, q, 0, tIter)
+      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
+      val leakFree = if (tIter == Int.MaxValue) 1.0 else 1.0 - math.pow(1 - c, tIter + 1)
+      assert(Metrics.norm1(r) < leakFree - 1e-6)
+      dense
+    }
+    assert(modes.toSet == Set(false, true))
+  }
+
+  test("kernel: scratch is all-zero after sparse, dense and failed runs") {
+    val (_, g) = graphs.head
+    val unit = LocalCpi.unitSeed(g.n, 3)
+    val expected = ReferenceCpi.run(g, unit, c, eps, 0, 2)
+    assertIdentical(kernel(g, unit, 0, 2)._1, expected)
+    kernel(g, LocalCpi.uniformSeed(g.n), 0, Int.MaxValue)
+    assertIdentical(kernel(g, unit, 0, 2)._1, expected)
+    for (q <- Seq(unit, LocalCpi.uniformSeed(g.n))) {
+      intercept[IllegalStateException] {
+        LocalCpi.accumulate(g, c, eps, 0, 4)(_.startFrom(q))(_ => throw new IllegalStateException)
+      }
+      assertIdentical(kernel(g, unit, 0, 2)._1, expected)
     }
   }
 }

@@ -1,13 +1,20 @@
 package repro.core
 
+import java.util.Arrays
+import java.util.concurrent.{Callable, CyclicBarrier, Executors, TimeUnit}
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.graph.LocalGraph
 import repro.metrics.Metrics
 
 /** TPA (Algorithms 2 & 3) correctness: the Lemma 2 / Lemma 4 / Theorem 2
   * accuracy bounds hold on every tested graph and seed, the neighbor
-  * scaling factor matches its closed form, and TPA decomposes as
-  * TPA-NA + stranger.
+  * scaling factor matches its closed form, TPA decomposes as
+  * TPA-NA + stranger, bad queries are rejected, and the online phase
+  * equals the plain dense loop bit for bit.
   */
 class TpaSpec extends AnyFunSuite {
   val c = 0.15
@@ -115,5 +122,115 @@ class TpaSpec extends AnyFunSuite {
     val g = graphs.head._2
     val model = Tpa.preprocess(g, c, eps, 10)
     assert(model.memoryBytes == 8L * g.n)
+  }
+
+  test("online, onlineNA and family reject a seed out of range") {
+    val (_, g) = graphs.head
+    val model = Tpa.preprocess(g, c, eps, 10)
+    for (seed <- Seq(-1, g.n)) {
+      intercept[IllegalArgumentException](Tpa.online(g, model, 4, seed, eps))
+      intercept[IllegalArgumentException](Tpa.onlineNA(g, c, 4, 10, seed, eps))
+      intercept[IllegalArgumentException](Tpa.family(g, c, 4, seed, eps))
+    }
+  }
+
+  test("online, onlineNA and family reject S < 1") {
+    val (_, g) = graphs.head
+    val model = Tpa.preprocess(g, c, eps, 10)
+    intercept[IllegalArgumentException](Tpa.online(g, model, 0, 1, eps))
+    intercept[IllegalArgumentException](Tpa.onlineNA(g, c, 0, 10, 1, eps))
+    intercept[IllegalArgumentException](Tpa.family(g, c, 0, 1, eps))
+  }
+
+  test("online and onlineNA reject S > T") {
+    val (_, g) = graphs.head
+    val model = Tpa.preprocess(g, c, eps, 5)
+    intercept[IllegalArgumentException](Tpa.online(g, model, 6, 1, eps))
+    intercept[IllegalArgumentException](Tpa.onlineNA(g, c, 6, 5, 1, eps))
+  }
+
+  test("online rejects a model built for a graph with another node count") {
+    val (_, g) = graphs.head
+    val other = Tpa.preprocess(graphs(2)._2, c, eps, 10)
+    intercept[IllegalArgumentException](Tpa.online(g, other, 4, 1, eps))
+  }
+
+  test("a query answered after rejected ones is bit-identical to one answered before") {
+    val (_, g) = graphs.head
+    val model = Tpa.preprocess(g, c, eps, 10)
+    val before = Tpa.online(g, model, 4, 7, eps)
+    val wrongModel = Tpa.preprocess(graphs(2)._2, c, eps, 10)
+    intercept[IllegalArgumentException](Tpa.online(g, model, 4, g.n, eps))
+    intercept[IllegalArgumentException](Tpa.online(g, model, 11, 7, eps))
+    intercept[IllegalArgumentException](Tpa.online(g, wrongModel, 4, 7, eps))
+    assert(Arrays.equals(Tpa.online(g, model, 4, 7, eps), before))
+  }
+
+  for ((name, g) <- graphs; s <- Seq(1, 2, 4)) {
+    test(s"online, onlineNA and family equal the dense loop bit for bit on $name S=$s") {
+      val t = 10
+      val model = Tpa.preprocess(g, c, eps, t)
+      for (seed <- Seq(0, 7, 33)) {
+        val fam = ReferenceCpi.run(g, LocalCpi.unitSeed(g.n, seed), c, eps, 0, s - 1)
+        val scale = 1.0 + Tpa.neighborFactor(c, s, t)
+        assert(Arrays.equals(Tpa.family(g, c, s, seed, eps), fam))
+        assert(Arrays.equals(Tpa.onlineNA(g, c, s, t, seed, eps), fam.map(_ * scale)))
+        assert(Arrays.equals(Tpa.online(g, model, s, seed, eps), ReferenceCpi.tpa(g, c, s, t, seed, eps)))
+      }
+    }
+  }
+
+  test("concurrent online calls on two threads equal the sequential answers") {
+    // Two graphs with different n, so each thread's scratch is also rebuilt.
+    val work = Seq(graphs(0)._2, graphs(1)._2).map(g => (g, Tpa.preprocess(g, c, eps, 10)))
+    val queries = for (seed <- 0 until 150; (g, model) <- work) yield (g, model, seed % g.n)
+    def answer(i: Int): Array[Double] = {
+      val (g, model, seed) = queries(i)
+      Tpa.online(g, model, 1 + i % 5, seed, eps)
+    }
+    val sequential = queries.indices.map(answer)
+    val barrier = new CyclicBarrier(2)
+    val pool = Executors.newFixedThreadPool(2)
+    try {
+      val runs = Seq(queries.indices, queries.indices.reverse).map { order =>
+        pool.submit(new Callable[Seq[(Int, Array[Double])]] {
+          def call(): Seq[(Int, Array[Double])] = { barrier.await(); order.map(i => i -> answer(i)) }
+        })
+      }
+      for (run <- runs; (i, r) <- run.get(60, TimeUnit.SECONDS))
+        assert(Arrays.equals(r, sequential(i)), s"query $i differs")
+    } finally pool.shutdown()
+  }
+
+  /** A random small digraph (self-loops, duplicate edges and dangling nodes
+    * allowed) with a query on it.
+    */
+  final class Query(val g: LocalGraph, val s: Int, val t: Int, val c: Double, val seed: Int) {
+    override def toString = s"Query(n=${g.n}, m=${g.m}, S=$s, T=$t, c=$c, seed=$seed)"
+  }
+
+  val queryGen: Gen[Query] = for {
+    n <- Gen.choose(2, 40)
+    m <- Gen.choose(0, 4 * n)
+    edges <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+    s <- Gen.choose(1, 6)
+    t <- Gen.choose(s, 14)
+    c <- Gen.choose(0.05, 0.9)
+    seed <- Gen.choose(0, n - 1)
+  } yield new Query(LocalGraph.fromEdges(n, edges.map(_._1).toArray, edges.map(_._2).toArray), s, t, c, seed)
+
+  test("property: Theorem 2 holds and online equals the dense loop on random small graphs") {
+    val prop = Prop.forAll(queryGen) { q =>
+      val model = Tpa.preprocess(q.g, q.c, eps, q.t)
+      val tpa = Tpa.online(q.g, model, q.s, q.seed, eps)
+      val exact = LocalCpi.rwr(q.g, q.seed, q.c, eps)
+      val exactRef = ReferenceCpi.run(q.g, LocalCpi.unitSeed(q.g.n, q.seed), q.c, eps, 0, Int.MaxValue)
+      Metrics.l1(exact, tpa) <= Tpa.accuracyBound(q.c, q.s) + 1e-9 &&
+        Arrays.equals(exact, exactRef) &&
+        Arrays.equals(tpa, ReferenceCpi.tpa(q.g, q.c, q.s, q.t, q.seed, eps))
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(20180416L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
   }
 }

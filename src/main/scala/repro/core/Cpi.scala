@@ -40,6 +40,7 @@ object Cpi {
   def run(spark: SparkSession, normEdges: DataFrame, seeds: DataFrame,
           c: Double, eps: Double, sIter: Int, tIter: Int): DataFrame = {
     require(c > 0 && c < 1, s"restart probability out of range: $c")
+    LocalCpi.requireStops(eps, tIter)
     val zero = spark.emptyDataFrame
       .select(lit(0L).as("node"), lit(0.0).as("x")).limit(0)
     if (tIter < 0) return zero.withColumnRenamed("x", "score")

@@ -43,6 +43,7 @@ object CpiGraphX {
   def run(spark: SparkSession, graph: Graph[Int, Double], q: VertexId => Double,
           c: Double, eps: Double, sIter: Int, tIter: Int): RDD[(VertexId, Double)] = {
     require(c > 0 && c < 1, s"restart probability out of range: $c")
+    LocalCpi.requireStops(eps, tIter)
     val sc = spark.sparkContext
     if (tIter < 0) return sc.emptyRDD[(VertexId, Double)]
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.Arrays
+import java.util.concurrent.RecursiveAction
 
 import repro.graph.LocalGraph
 
@@ -16,8 +17,10 @@ import repro.graph.LocalGraph
   *
   * Every run goes through one kernel, [[Scratch.propagate]]: a sorted
   * sparse frontier that switches to a full scan of all n nodes once the
-  * frontier's out-edges pass [[DenseFraction]] of m. A run costs the edges
-  * it touches, and its dense arrays are reused per thread.
+  * frontier's out-edges pass [[DenseFraction]] of m. On a graph of at least
+  * [[ParallelMinEdges]] edges that scan pulls over the reverse graph on
+  * every core. A run costs the edges it touches, and its dense arrays are
+  * reused per thread.
   */
 object LocalCpi {
 
@@ -27,6 +30,15 @@ object LocalCpi {
     * sort and the index lists cost less than scanning n slots.
     */
   private val DenseFraction = 1.0 / 16
+
+  /** A run that went dense on a graph with at least this many edges uses
+    * the parallel pull hop; below it, the push scan on the calling thread.
+    * A fork/join round trip on the common pool costs as much as a push
+    * scan of a few thousand edges. At 2^18 edges it is at most 3 % of a
+    * hop, which leaves a margin for the in-edges a pull hop reads where x
+    * is zero (DESIGN.md §2). Visible to tests, which build graphs above it.
+    */
+  private[core] val ParallelMinEdges = 1 << 18
 
   /** Unit seed vector e_s (RWR from seed `s`). */
   def unitSeed(n: Int, s: Int): Array[Double] = {
@@ -41,7 +53,7 @@ object LocalCpi {
     * @param g      graph (weights are implicit: 1/outdeg(src))
     * @param q      seed vector (must sum to 1 for the paper's norm lemmas)
     * @param c      restart probability
-    * @param eps    convergence tolerance on ‖x^(i)‖₁
+    * @param eps    convergence tolerance on ‖x^(i)‖₁; must be > 0 when tIter = ∞
     * @param sIter  first accumulated iteration (inclusive)
     * @param tIter  last accumulated iteration (inclusive); Int.MaxValue = ∞
     * @return accumulated score vector r
@@ -64,6 +76,13 @@ object LocalCpi {
   def itersToConverge(c: Double, eps: Double): Int =
     math.ceil(math.log(eps / c) / math.log(1.0 - c)).toInt
 
+  /** Rejects an unbounded window (tIter = ∞) whose tolerance ‖x^(i)‖₁ < eps
+    * never holds: eps ≤ 0 or NaN. A finite window stops at tIter, so any
+    * eps is legal there. Shared with the Spark engines.
+    */
+  private[core] def requireStops(eps: Double, tIter: Int): Unit =
+    require(tIter != Int.MaxValue || eps > 0, s"an unbounded CPI run needs eps > 0, got $eps")
+
   /** Runs CPI on the calling thread's scratch and lends the accumulated sum
     * to `use`. `start` loads the seed vector q; the scratch is all-zero
     * again when this returns or throws, so `use` must not keep it.
@@ -71,6 +90,7 @@ object LocalCpi {
   private[core] def accumulate[A](g: LocalGraph, c: Double, eps: Double, sIter: Int, tIter: Int)
       (start: Scratch => Unit)(use: Scratch => A): A = {
     require(c > 0 && c < 1, s"restart probability out of range: $c")
+    requireStops(eps, tIter)
     var sc = scratch.get
     if (sc == null || sc.n != g.n) { sc = new Scratch(g.n); scratch.set(sc) }
     try {
@@ -81,6 +101,45 @@ object LocalCpi {
   }
 
   private val scratch = new ThreadLocal[Scratch]
+
+  /** Number of parts of a pull hop. */
+  private val Parts = Runtime.getRuntime.availableProcessors
+
+  /** A node costs a pull part about as much as this many in-edges: the
+    * loop over a short in-list is dominated by its entry and exit. Measured
+    * on the twitter-s analog, where the parts then take equal time.
+    */
+  private val NodeCost = 16L
+
+  /** First node of pull part k: the parts split the cost of the reverse
+    * graph `rev`, NodeCost per node plus one per in-edge, evenly.
+    */
+  private def splitAt(rev: LocalGraph, k: Int): Int = {
+    val goal = (NodeCost * rev.n + rev.m) * k / Parts
+    var lo = 0; var hi = rev.n
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (NodeCost * mid + rev.offsets(mid) < goal) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** nx(v) = Σ share(u) over the in-list of v, in list order, for v in [lo, hi). */
+  private final class Pull(rev: LocalGraph, share: Array[Double], nx: Array[Double], lo: Int, hi: Int)
+      extends RecursiveAction {
+    def compute(): Unit = {
+      val offsets = rev.offsets; val sources = rev.targets
+      var j = offsets(lo)
+      var v = lo
+      while (v < hi) {
+        val end = offsets(v + 1)
+        var sum = 0.0
+        while (j < end) { sum += share(sources(j)); j += 1 }
+        nx(v) = sum
+        v += 1
+      }
+    }
+  }
 
   /** Dense per-thread arrays of one CPI run over n nodes.
     *
@@ -149,13 +208,17 @@ object LocalCpi {
         if (sIter <= 0) r(u) += x(u)
         k += 1
       }
+      val pull = g.m >= ParallelMinEdges
       var iter = 1
       var done = tIter == 0
       while (!done) {
         if (!dense && frontOutEdges(g) > g.m * DenseFraction) dense = true
         val acc = iter >= sIter && iter <= tIter
         val last = iter >= tIter
-        val norm = if (dense) denseHop(g, c, acc) else sparseHop(g, c, iter + 1, acc, last)
+        val norm =
+          if (!dense) sparseHop(g, c, iter + 1, acc, last)
+          else if (pull) pullHop(g, c, acc)
+          else denseHop(g, c, acc)
         if (norm < eps || last) done = true
         iter += 1
       }
@@ -236,6 +299,49 @@ object LocalCpi {
         }
         u += 1
       }
+      var norm = 0.0
+      u = 0
+      while (u < n) { norm += nx(u); u += 1 }
+      if (acc) { u = 0; while (u < n) { r(u) += nx(u); u += 1 } }
+      Arrays.fill(x, 0.0)
+      this.x = nx; this.nx = x
+      norm
+    }
+
+    /** The dense hop in pull direction, split over the common ForkJoin pool.
+      * Returns ‖x^(i)‖₁. x(u) first becomes u's share, by the push hop's
+      * expression (0 for a dangling u); then each node v sums the shares of
+      * its in-list. The in-list is in ascending source order, so v's sum
+      * adds the push scan's terms in the push scan's order, plus zero terms
+      * that change no sum: the result is bit-identical. Each part writes
+      * only its own nodes' slots of nx; norm and r are summed on the
+      * calling thread in ascending order, as in [[denseHop]].
+      */
+    private def pullHop(g: LocalGraph, c: Double, acc: Boolean): Double = {
+      val x = this.x; val nx = this.nx; val r = this.r
+      val offsets = g.offsets
+      var u = 0
+      while (u < n) {
+        val xu = x(u)
+        if (xu != 0.0) {
+          val d = offsets(u + 1) - offsets(u)
+          x(u) = if (d > 0) xu * (1.0 - c) / d else 0.0
+        }
+        u += 1
+      }
+      val rev = g.reverse
+      val parts = new Array[Pull](Parts)
+      var k = 0
+      while (k < Parts) { parts(k) = new Pull(rev, x, nx, splitAt(rev, k), splitAt(rev, k + 1)); k += 1 }
+      // Every part is joined, even after one failed, so none still writes
+      // to nx when the scratch is cleared.
+      k = Parts - 1
+      while (k > 0) { parts(k).fork(); k -= 1 }
+      parts(0).quietlyInvoke()
+      k = 1
+      while (k < Parts) { parts(k).quietlyJoin(); k += 1 }
+      k = 0
+      while (k < Parts) { if (parts(k).getException != null) throw parts(k).getException; k += 1 }
       var norm = 0.0
       u = 0
       while (u < n) { norm += nx(u); u += 1 }

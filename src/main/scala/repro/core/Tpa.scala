@@ -41,8 +41,10 @@ object Tpa {
   /** Preprocessing phase (Algorithm 2): approximate stranger vector
     * `p_stranger = Σ_{i=T}^{∞} x'^(i)` of the PageRank CPI series.
     */
-  def preprocess(g: LocalGraph, c: Double, eps: Double, t: Int): Model =
+  def preprocess(g: LocalGraph, c: Double, eps: Double, t: Int): Model = {
+    require(t >= 1, s"need T >= 1, got T=$t")
     Model(LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, t, Int.MaxValue), c, t)
+  }
 
   /** Online phase (Algorithm 3) with the stranger vector from [[preprocess]].
     *

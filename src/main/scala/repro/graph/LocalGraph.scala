@@ -30,20 +30,12 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     while (i < end) { f(targets(i)); i += 1 }
   }
 
-  /** Graph with every edge reversed (in-neighbor access), built lazily —
-    * needed by HubPPR's backward push.
+  /** Graph with every edge reversed, built by [[LocalGraph.transpose]] on
+    * first use and kept. Every in-list is in ascending source order. The
+    * pull hop of `LocalCpi`'s dense kernel (on graphs of at least 2^18
+    * edges), HubPPR's backward push and [[inDeg]] read it.
     */
-  lazy val reverse: LocalGraph = {
-    val src = new Array[Int](m)
-    val dst = new Array[Int](m)
-    var u = 0; var i = 0
-    while (u < n) {
-      val end = offsets(u + 1)
-      while (i < end) { src(i) = targets(i); dst(i) = u; i += 1 }
-      u += 1
-    }
-    LocalGraph.fromEdges(n, src, dst)
-  }
+  lazy val reverse: LocalGraph = LocalGraph.transpose(this)
 
   /** In-degree of node `u` (via the reverse graph). */
   def inDeg(u: Int): Int = reverse.outDeg(u)
@@ -67,6 +59,37 @@ object LocalGraph {
       val u = src(i); targets(pos(u)) = dst(i); pos(u) += 1; i += 1
     }
     new LocalGraph(n, offsets, targets)
+  }
+
+  /** The transpose of `g` in O(n + m): a counting sort of g's edges by
+    * target. The edges are visited in CSR order, so every in-list comes out
+    * in ascending source order, with the copies of a duplicate edge next
+    * to each other; the arrays are those `fromEdges` builds from the
+    * reversed edge list in that order.
+    */
+  def transpose(g: LocalGraph): LocalGraph = {
+    val n = g.n; val offsets = g.offsets; val targets = g.targets
+    // No cursor array: in-degrees are counted two slots up, so after the
+    // prefix sum inOffsets(t + 1) is where t's in-list starts. Filling
+    // advances it to where that list ends, which is its final value.
+    val inOffsets = new Array[Int](n + 1)
+    var j = 0
+    while (j < targets.length) { if (targets(j) + 1 < n) inOffsets(targets(j) + 2) += 1; j += 1 }
+    var v = 1
+    while (v < n) { inOffsets(v + 1) += inOffsets(v); v += 1 }
+    val sources = new Array[Int](targets.length)
+    var u = 0
+    while (u < n) {
+      j = offsets(u)
+      val end = offsets(u + 1)
+      while (j < end) {
+        val slot = targets(j) + 1
+        sources(inOffsets(slot)) = u; inOffsets(slot) += 1
+        j += 1
+      }
+      u += 1
+    }
+    new LocalGraph(n, inOffsets, sources)
   }
 
   /** Collect a `(src, dst)` edge DataFrame into a CSR graph with `n` nodes. */

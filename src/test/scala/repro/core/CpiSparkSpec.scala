@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{col, udf}
 import repro.SparkSpec
 import repro.graph.{GraphGen, LocalGraph}
 import repro.metrics.Metrics
@@ -107,6 +108,75 @@ class CpiSparkSpec extends SparkSpec {
       TpaSpark.onlineNA(spark, norm, c, s, t, seed.toLong, 0.0), g.n)
     val localNa = Tpa.onlineNA(g, c, s, t, seed, 0.0)
     assert(Metrics.l1(sparkNa, localNa) < 1e-10)
+  }
+
+  /** Inputs that fail any job that reads their edges, so a call that is
+    * not rejected up front fails with a SparkException at its first
+    * superstep instead of an IllegalArgumentException.
+    */
+  private lazy val unreadableEdges = {
+    val fail = udf((w: Double) => if (w >= 0) throw new IllegalStateException("edge table read") else w)
+    norm.withColumn("w", fail(col("w")))
+  }
+  private lazy val unreadableGraph =
+    graphx.mapEdges(e => if (e.attr >= 0) throw new IllegalStateException("edge read") else e.attr)
+
+  /** Runs `body`, which must throw IllegalArgumentException, and checks
+    * that it started no Spark job.
+    */
+  private def rejectedWithoutJobs(body: => Any): Unit = {
+    val sc = spark.sparkContext
+    val group = s"rejected-${java.util.UUID.randomUUID}"
+    sc.setJobGroup(group, "input that must be rejected")
+    try intercept[IllegalArgumentException](body)
+    finally sc.clearJobGroup()
+    assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty)
+  }
+
+  test("DataFrame CPI rejects an unbounded run with eps <= 0 or NaN before any job") {
+    val edges = unreadableEdges
+    for (e <- Seq(0.0, -1.0, Double.NaN)) {
+      rejectedWithoutJobs(Cpi.run(spark, edges, Cpi.unitSeed(spark, 0), c, e, 0, Int.MaxValue))
+      rejectedWithoutJobs(Cpi.rwr(spark, edges, 0, c, e))
+      rejectedWithoutJobs(Cpi.pagerank(spark, edges, g.n.toLong, c, e))
+      rejectedWithoutJobs(TpaSpark.preprocess(spark, edges, g.n.toLong, c, e, 5))
+    }
+  }
+
+  test("GraphX CPI rejects an unbounded run with eps <= 0 or NaN before any job") {
+    val graph = unreadableGraph
+    for (e <- Seq(0.0, -1.0, Double.NaN)) {
+      rejectedWithoutJobs(CpiGraphX.run(spark, graph, _ => 1.0, c, e, 0, Int.MaxValue))
+      rejectedWithoutJobs(CpiGraphX.rwr(spark, graph, 0L, c, e))
+    }
+  }
+
+  test("TpaSpark.preprocess rejects T < 1") {
+    val edges = unreadableEdges
+    for (t <- Seq(0, -1)) rejectedWithoutJobs(TpaSpark.preprocess(spark, edges, g.n.toLong, c, 1e-4, t))
+  }
+
+  test("TpaSpark.preprocess rejects n < 1") {
+    val edges = unreadableEdges
+    for (n <- Seq(0L, -1L)) rejectedWithoutJobs(TpaSpark.preprocess(spark, edges, n, c, 1e-4, 5))
+  }
+
+  test("TpaSpark.online and onlineNA reject a negative seed") {
+    val edges = unreadableEdges
+    rejectedWithoutJobs(TpaSpark.online(spark, edges, spark.emptyDataFrame, c, 3, 6, -1L, 1e-4))
+    rejectedWithoutJobs(TpaSpark.onlineNA(spark, edges, c, 3, 6, -1L, 1e-4))
+  }
+
+  test("TpaSpark.online and onlineNA reject S < 1") {
+    val edges = unreadableEdges
+    rejectedWithoutJobs(TpaSpark.online(spark, edges, spark.emptyDataFrame, c, 0, 6, 1L, 1e-4))
+    rejectedWithoutJobs(TpaSpark.onlineNA(spark, edges, c, 0, 6, 1L, 1e-4))
+  }
+
+  test("TpaSpark.online and onlineNA reject S > T") {
+    val edges = unreadableEdges
+    rejectedWithoutJobs(TpaSpark.online(spark, edges, spark.emptyDataFrame, c, 6, 5, 1L, 1e-4))
+    rejectedWithoutJobs(TpaSpark.onlineNA(spark, edges, c, 6, 5, 1L, 1e-4))
   }
 
   test("distributed TPA satisfies the Theorem 2 bound (ε=1e-4)") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{Callable, CyclicBarrier, Executors, TimeUnit}
+
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baselines.PowerIteration
@@ -9,7 +11,8 @@ import repro.metrics.Metrics
 /** CPI-IMPL (Algorithm 1) correctness: Theorem 1 (CPI = PI), agreement
   * with an independent dense solve, the exact L1 norms of Lemma 3, the
   * family/neighbor/stranger partition identity, and bit-identity of the
-  * sparse-frontier kernel with the plain dense loop in every mode.
+  * sparse-frontier kernel with the plain dense loop in every mode,
+  * including the parallel pull hop on graphs above its edge threshold.
   */
 class LocalCpiSpec extends AnyFunSuite {
   val c = 0.15
@@ -139,6 +142,20 @@ class LocalCpiSpec extends AnyFunSuite {
     }
   }
 
+  test("an unbounded run with eps <= 0 or NaN is rejected; a finite window takes eps = 0") {
+    val g = TestGraphs.cycle(3)
+    val q = LocalCpi.unitSeed(g.n, 0)
+    for (e <- Seq(0.0, -1.0, Double.NaN)) {
+      intercept[IllegalArgumentException](LocalCpi.run(g, q, c, e, 0, Int.MaxValue))
+      intercept[IllegalArgumentException](LocalCpi.run(g, q, c, e, 4, Int.MaxValue))
+      intercept[IllegalArgumentException](LocalCpi.rwr(g, 0, c, e))
+      intercept[IllegalArgumentException](LocalCpi.pagerank(g, c, e))
+      intercept[IllegalArgumentException](Tpa.preprocess(g, c, e, 5))
+    }
+    val r = LocalCpi.run(g, q, c, 0.0, 0, 30)
+    assert(java.util.Arrays.equals(r, ReferenceCpi.run(g, q, c, 0.0, 0, 30)))
+  }
+
   test("seed vector length mismatch is rejected") {
     val g = graphs.head._2
     intercept[IllegalArgumentException] {
@@ -226,5 +243,79 @@ class LocalCpiSpec extends AnyFunSuite {
       }
       assertIdentical(kernel(g, unit, 0, 2)._1, expected)
     }
+  }
+
+  /** Graphs above ParallelMinEdges: a run that goes dense on them takes the
+    * parallel pull hop. Two node counts, so a thread's scratch is rebuilt.
+    */
+  val pullGraphs = Seq(
+    "random-24k" -> TestGraphs.random(24000, 300000, 31),
+    "with-dangling-20k" -> TestGraphs.withDangling(20000, 300000, 32))
+
+  test("pull hop: the pull test graphs are above ParallelMinEdges") {
+    for ((name, g) <- pullGraphs) assert(g.m >= LocalCpi.ParallelMinEdges, name)
+  }
+
+  for ((name, g) <- pullGraphs) {
+    test(s"pull hop: a uniform seed equals the dense loop bit for bit on $name") {
+      val q = LocalCpi.uniformSeed(g.n)
+      assert(kernel(g, q, 0, 1)._2)
+      for ((sIter, tIter) <- windows)
+        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+    }
+
+    test(s"pull hop: a unit-seed run that goes dense mid-way equals the dense loop bit for bit on $name") {
+      val q = LocalCpi.unitSeed(g.n, 7)
+      assert(!kernel(g, q, 0, 1)._2, "the first hop should be sparse")
+      assert(kernel(g, q, 0, Int.MaxValue)._2, "the run should go dense")
+      for ((sIter, tIter) <- windows)
+        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+    }
+  }
+
+  test("pull hop: a dangling node leaks the same mass as in the dense loop") {
+    val (_, g) = pullGraphs(1)
+    val dangling = g.n - 1
+    assert(g.outDeg(dangling) == 0 && g.inDeg(dangling) > 0)
+    for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n))) {
+      val (r, dense) = kernel(g, q, 0, Int.MaxValue)
+      assert(dense)
+      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
+      assert(Metrics.norm1(r) < 1.0 - 1e-6)
+    }
+  }
+
+  test("pull hop: scratch is all-zero after a run that throws in pull mode") {
+    val (_, g) = pullGraphs.head
+    val unit = LocalCpi.unitSeed(g.n, 3)
+    val uniform = LocalCpi.uniformSeed(g.n)
+    val expectedUnit = ReferenceCpi.run(g, unit, c, eps, 0, 2)
+    val expectedUniform = ReferenceCpi.run(g, uniform, c, eps, 0, 4)
+    for (q <- Seq(unit, uniform)) {
+      intercept[IllegalStateException] {
+        LocalCpi.accumulate(g, c, eps, 0, 6)(_.startFrom(q)) { sc =>
+          assert(sc.isDense)
+          throw new IllegalStateException
+        }
+      }
+      assertIdentical(kernel(g, unit, 0, 2)._1, expectedUnit)
+      assertIdentical(kernel(g, uniform, 0, 4)._1, expectedUniform)
+    }
+  }
+
+  test("pull hop: Tpa.preprocess on two threads at once equals the sequential runs") {
+    val t = 5
+    def stranger(i: Int): Array[Double] = Tpa.preprocess(pullGraphs(i)._2, c, eps, t).stranger
+    val sequential = pullGraphs.indices.map(stranger)
+    val barrier = new CyclicBarrier(2)
+    val pool = Executors.newFixedThreadPool(2)
+    try {
+      val runs = Seq(pullGraphs.indices, pullGraphs.indices.reverse).map { order =>
+        pool.submit(new Callable[Seq[(Int, Array[Double])]] {
+          def call(): Seq[(Int, Array[Double])] = { barrier.await(); order.map(i => i -> stranger(i)) }
+        })
+      }
+      for (run <- runs; (i, r) <- run.get(120, TimeUnit.SECONDS)) assertIdentical(r, sequential(i))
+    } finally pool.shutdown()
   }
 }

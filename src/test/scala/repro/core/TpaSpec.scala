@@ -124,6 +124,11 @@ class TpaSpec extends AnyFunSuite {
     assert(model.memoryBytes == 8L * g.n)
   }
 
+  test("preprocess rejects T < 1") {
+    val (_, g) = graphs.head
+    for (t <- Seq(0, -1)) intercept[IllegalArgumentException](Tpa.preprocess(g, c, eps, t))
+  }
+
   test("online, onlineNA and family reject a seed out of range") {
     val (_, g) = graphs.head
     val model = Tpa.preprocess(g, c, eps, 10)

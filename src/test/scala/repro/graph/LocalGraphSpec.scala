@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 
 /** CSR construction correctness against a naive adjacency-map build,
   * plus reverse-graph and degree invariants.
@@ -42,6 +43,51 @@ class LocalGraphSpec extends AnyFunSuite {
       }
       assert(edgeSet(rr) == edgeSet(g))
     }
+  }
+
+  /** The reverse graph as it was built before the direct transpose: every
+    * edge flipped, in CSR order, then `fromEdges`.
+    */
+  private def reverseViaFromEdges(g: LocalGraph): LocalGraph = {
+    val src = new Array[Int](g.m)
+    val dst = new Array[Int](g.m)
+    for (u <- 0 until g.n; j <- g.offsets(u) until g.offsets(u + 1)) { src(j) = g.targets(j); dst(j) = u }
+    LocalGraph.fromEdges(g.n, src, dst)
+  }
+
+  private val withDuplicates = {
+    val (src, dst) = randomPairs(30, 400, 9)
+    LocalGraph.fromEdges(30, src ++ Array(0, 0, 5, 5, 5), dst ++ Array(0, 0, 7, 7, 5))
+  }
+
+  val reverseCases = Seq(
+    "random-200" -> TestGraphs.random(200, 1200, 1),
+    "communities-240" -> TestGraphs.communities(240, 6, 1400, 0.85, 2),
+    "with-dangling-100" -> TestGraphs.withDangling(100, 500, 3),
+    "duplicates-and-self-loops-30" -> withDuplicates)
+
+  for ((name, g) <- reverseCases) {
+    test(s"reverse equals the fromEdges build of the flipped edges, array for array, on $name") {
+      val expected = reverseViaFromEdges(g)
+      assert(g.reverse.n == g.n)
+      assert(java.util.Arrays.equals(g.reverse.offsets, expected.offsets))
+      assert(java.util.Arrays.equals(g.reverse.targets, expected.targets))
+    }
+
+    // LocalCpi's pull hop sums each in-list in list order. Ascending sources
+    // are the order in which the push scan adds the same terms, so this
+    // invariant is what makes the pull hop bit-identical to it.
+    test(s"every in-list of reverse is in ascending source order on $name") {
+      val rev = g.reverse
+      for (v <- 0 until rev.n; j <- rev.offsets(v) + 1 until rev.offsets(v + 1))
+        assert(rev.targets(j - 1) <= rev.targets(j), s"in-list of $v")
+    }
+  }
+
+  test("the duplicate-edge graph has duplicates and self-loops in its in-lists") {
+    val rev = withDuplicates.reverse
+    def inList(v: Int) = rev.targets.slice(rev.offsets(v), rev.offsets(v + 1)).toSeq
+    assert(inList(0).count(_ == 0) >= 2 && inList(7).count(_ == 5) >= 2 && inList(5).contains(5))
   }
 
   test("out-degrees sum to m; in-degrees sum to m") {

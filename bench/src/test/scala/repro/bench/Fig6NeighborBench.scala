@@ -1,9 +1,7 @@
 package repro.bench
 
-import repro.core.Tpa
-import repro.experiments.{ExpConfig, Runner}
+import repro.experiments.Experiments
 import repro.graph.Datasets
-import repro.metrics.Metrics
 
 /** Figure 6: effectiveness of the neighbor approximation — TPA-NA on
   * block-structured (RMAT) graphs vs Erdős–Rényi graphs with the same
@@ -14,31 +12,9 @@ import repro.metrics.Metrics
 class Fig6NeighborBench extends BenchBase {
 
   test("Fig 6: neighbor approximation exploits block structure") {
-    // Table built inline (rather than Experiments.fig6Neighbor) so the
-    // per-dataset numbers are available for the assertions.
-    val results = for (spec <- Datasets.all) yield {
-      val gReal = Datasets.local(spark, spec)
-      val gRand = Datasets.randomCounterpartLocal(spark, spec)
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      def run(g: repro.graph.LocalGraph, cached: Boolean) = {
-        val pairs = seeds.map { s =>
-          val ex = if (cached) Runner.exact(g, spec, s) else Runner.exactOn(g, s)
-          val na = Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, s, ExpConfig.eps)
-          (Metrics.l1(na, ex), Metrics.spearman(na, ex))
-        }
-        (pairs.map(_._1).sum / pairs.size, pairs.map(_._2).sum / pairs.size)
-      }
-      val (l1Real, spReal) = run(gReal, cached = true)
-      val (l1Rand, spRand) = run(gRand, cached = false)
-      (spec.name, l1Real, l1Rand, spReal, spRand)
-    }
-    banner("Fig 6: TPA-NA on real-like vs random graphs",
-      Runner.table(
-        Seq("dataset", "L1 (real-like)", "L1 (random)",
-            "Spearman (real-like)", "Spearman (random)"),
-        results.map(r => Seq(r._1, Runner.fmtSci(r._2), Runner.fmtSci(r._3),
-                             f"${r._4}%.4f", f"${r._5}%.4f"))))
-    val l1Wins = results.count(r => r._2 < r._3)
+    val rows = Experiments.fig6Neighbor(spark)
+    banner("Fig 6: TPA-NA on real-like vs random graphs", Experiments.fig6Table(rows))
+    val l1Wins = rows.count(r => r.l1Real < r.l1Random)
     assert(l1Wins >= (Datasets.all.size + 1) / 2,
       s"TPA-NA had lower L1 on real-like graphs only $l1Wins/${Datasets.all.size} times")
   }

@@ -1,10 +1,7 @@
 package repro.bench
 
-import repro.TestGraphs
-import repro.core.{LocalCpi, Tpa}
-import repro.experiments.{ExpConfig, Runner}
+import repro.experiments.Experiments
 import repro.graph.Datasets
-import repro.metrics.Metrics
 
 /** Figure 8: effect of T (S fixed at 4). Paper (LiveJournal/Pokec):
   * L1 error falls as T grows toward ~10 then rebounds for large T,
@@ -19,61 +16,28 @@ import repro.metrics.Metrics
   * EXPERIMENTS.md for the discussion.
   */
 class Fig8TSweepBench extends BenchBase {
-  private val sFixed = 4
-  private val tValues = Seq(4, 5, 6, 8, 10, 15, 20, 30)
-
-  private def sweep(g: repro.graph.LocalGraph, seeds: Seq[Int],
-                    exact: Int => Array[Double]): Seq[(Int, Double, Double)] =
-    tValues.map { tVal =>
-      val model = Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tVal)
-      val runs = seeds.map { s =>
-        val v = Tpa.online(g, model, sFixed, s, ExpConfig.eps)
-        val ex = exact(s)
-        (Metrics.l1(v, ex), Metrics.spearman(v, ex))
-      }
-      (tVal, runs.map(_._1).sum / runs.size, runs.map(_._2).sum / runs.size)
-    }
 
   test("Fig 8: T sweep — large-T penalty on analogs, full U-shape on SBM") {
-    val rows = collection.mutable.ArrayBuffer.empty[Seq[String]]
-    val analogSweeps = for (spec <- Seq(Datasets.livejournal, Datasets.pokec)) yield {
-      val g = Datasets.local(spark, spec)
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      val sw = sweep(g, seeds, s => Runner.exact(g, spec, s))
-      sw.foreach { case (t, l1, sp) =>
-        rows += Seq(spec.name, t.toString, Runner.fmtSci(l1), f"$sp%.4f")
-      }
-      (spec.name, sw)
-    }
-    // Strong-community SBM: n=4096, 32 blocks, 95% in-block edges.
-    val sbm = TestGraphs.communities(4096, 32, 40000, 0.95, 77)
-    val sbmSeeds = Seq(1, 100, 2000, 3000, 4001)
-    val sbmExact = sbmSeeds.map(s =>
-      s -> LocalCpi.rwr(sbm, s, ExpConfig.c, ExpConfig.eps)).toMap
-    val sbmSweep = sweep(sbm, sbmSeeds, sbmExact)
-    sbmSweep.foreach { case (t, l1, sp) =>
-      rows += Seq("sbm-community", t.toString, Runner.fmtSci(l1), f"$sp%.4f")
-    }
-    banner("Fig 8: effect of T (S=4)",
-      Runner.table(Seq("dataset", "T", "L1 error", "Spearman"), rows.toSeq))
+    val rows = Experiments.fig8TSweep(spark)
+    banner("Fig 8: effect of T (S=4)", Experiments.fig8Table(rows))
+    def sweep(name: String) = rows.filter(_.dataset == name)
 
-    for ((name, sw) <- analogSweeps) {
-      val byT = sw.map(x => x._1 -> x).toMap
+    for (name <- Seq(Datasets.livejournal, Datasets.pokec).map(_.name)) {
+      val sw = sweep(name)
+      val l1 = sw.map(r => r.t -> r.l1).toMap
       // large-T penalty: the tuned T=10 beats the largest swept T
-      assert(byT(10)._2 <= byT(30)._2 + 1e-9,
-        s"$name: L1(T=10) ${byT(10)._2} !<= L1(T=30) ${byT(30)._2}")
+      assert(l1(10) <= l1(30) + 1e-9, s"$name: L1(T=10) ${l1(10)} !<= L1(T=30) ${l1(30)}")
       // Spearman stays high and essentially flat in T
-      assert(sw.forall(_._3 > 0.8), s"$name: Spearman dipped below 0.8")
-      assert(sw.map(_._3).max - sw.map(_._3).min < 0.1,
+      assert(sw.forall(_.spearman > 0.8), s"$name: Spearman dipped below 0.8")
+      assert(sw.map(_.spearman).max - sw.map(_.spearman).min < 0.1,
         s"$name: Spearman varied by more than 0.1 across T")
     }
     // full U-shape on the strong-community graph, minimum at the tuned T=10
-    val byT = sbmSweep.map(x => x._1 -> x).toMap
-    assert(byT(10)._2 < byT(4)._2,
-      s"sbm: L1(T=10) ${byT(10)._2} !< L1(T=4) ${byT(4)._2}")
-    assert(byT(10)._2 < byT(30)._2,
-      s"sbm: L1(T=10) ${byT(10)._2} !< L1(T=30) ${byT(30)._2}")
+    val sbm = sweep("sbm-community")
+    val sbmL1 = sbm.map(r => r.t -> r.l1).toMap
+    assert(sbmL1(10) < sbmL1(4), s"sbm: L1(T=10) ${sbmL1(10)} !< L1(T=4) ${sbmL1(4)}")
+    assert(sbmL1(10) < sbmL1(30), s"sbm: L1(T=10) ${sbmL1(10)} !< L1(T=30) ${sbmL1(30)}")
     // Spearman flat in T on the SBM as well (level is tie-depressed)
-    assert(sbmSweep.map(_._3).max - sbmSweep.map(_._3).min < 0.1)
+    assert(sbm.map(_.spearman).max - sbm.map(_.spearman).min < 0.1)
   }
 }

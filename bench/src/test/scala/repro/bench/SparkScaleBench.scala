@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.experiments.SparkScale
+import repro.core.Tpa
+import repro.experiments.{ExpConfig, SparkScale}
 import repro.graph.Datasets
 
 /** Distributed-dataflow scalability: both Spark engines (DataFrame
@@ -12,18 +13,13 @@ import repro.graph.Datasets
 class SparkScaleBench extends BenchBase {
 
   test("distributed TPA (DataFrame + GraphX) completes on a large analog") {
-    val report = SparkScale.run(spark, Datasets.wikilink)
-    banner("Distributed TPA on wikilink-s", report)
-    // The report embeds L1-vs-exact values; SparkScale already computed
-    // them against the driver-side ground truth. Re-assert the bound via
-    // a cheap parse: every L1 cell must be below the Theorem 2 bound.
-    val bound = repro.core.Tpa.accuracyBound(
-      repro.experiments.ExpConfig.c, Datasets.wikilink.s)
-    val l1s = report.linesIterator
-      .filter(l => l.startsWith("| DataFrame") || l.startsWith("| GraphX"))
-      .map(_.split("\\|")(4).trim.toDouble)
-      .toSeq
-    assert(l1s.nonEmpty && l1s.forall(_ <= bound + 1e-6),
-      s"L1 values $l1s exceed bound $bound")
+    val spec = Datasets.wikilink
+    val rows = SparkScale.run(spark, spec)
+    banner("Distributed TPA on wikilink-s", SparkScale.report(spec, rows))
+    // Theorem 2: each engine's online vector is within 2(1-c)^S of exact.
+    val bound = Tpa.accuracyBound(ExpConfig.c, spec.s)
+    assert(rows.map(_.engine) == Seq("DataFrame", "GraphX") &&
+           rows.forall(_.l1 <= bound + 1e-6),
+      s"L1 values ${rows.map(_.l1)} exceed bound $bound")
   }
 }

@@ -2,6 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.experiments.{Experiments, SparkScale}
+import repro.graph.Datasets
 
 /** Table II — dataset statistics of the scaled analogs. */
 object DatasetStatsJob extends JobBase {
@@ -43,23 +44,24 @@ object StrangerJob extends JobBase {
 /** Figure 6 — neighbor approximation on real-like vs random graphs. */
 object NeighborJob extends JobBase {
   val title = "Fig 6: neighbor approximation"
-  def run(spark: SparkSession): String = Experiments.fig6Neighbor(spark)
+  def run(spark: SparkSession): String = Experiments.fig6Table(Experiments.fig6Neighbor(spark))
 }
 
 /** Figure 7 — effect of S on online time and L1 error. */
 object SSweepJob extends JobBase {
   val title = "Fig 7: effect of S"
-  def run(spark: SparkSession): String = Experiments.fig7SSweep(spark)
+  def run(spark: SparkSession): String = Experiments.fig7Table(Experiments.fig7SSweep(spark))
 }
 
-/** Figure 8 — effect of T on L1 error and Spearman. */
+/** Figure 8 — effect of T on L1 error and Spearman (analogs and SBM). */
 object TSweepJob extends JobBase {
   val title = "Fig 8: effect of T"
-  def run(spark: SparkSession): String = Experiments.fig8TSweep(spark)
+  def run(spark: SparkSession): String = Experiments.fig8Table(Experiments.fig8TSweep(spark))
 }
 
 /** Distributed TPA (DataFrame + GraphX engines) on a large analog. */
 object SparkScaleJob extends JobBase {
   val title = "Distributed TPA (DataFrame / GraphX)"
-  def run(spark: SparkSession): String = SparkScale.run(spark)
+  def run(spark: SparkSession): String =
+    SparkScale.report(Datasets.wikilink, SparkScale.run(spark, Datasets.wikilink))
 }

@@ -2,16 +2,17 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{HubPpr, NbLin, BearApprox, Rppr}
-import repro.core.{LocalCpi, Tpa}
-import repro.graph.{Datasets, DatasetSpec, LocalGraph}
+import repro.core.Tpa
+import repro.graph.{Datasets, DatasetSpec, GraphGen, LocalGraph}
 import repro.metrics.Metrics
 
 import scala.collection.mutable
 
 /** One function per reproduced paper exhibit (Table II and Figures 1,
-  * 3–8 rendered as tables of numbers). Each returns a markdown table;
-  * bench suites assert the qualitative claims and print it, jobs just
-  * print it. See DESIGN.md §6 and EXPERIMENTS.md for paper-vs-measured.
+  * 3–8 rendered as tables of numbers). Figs 6–8 return typed rows, which
+  * the bench suites assert on and the matching `figNTable` renders for
+  * jobs and bench banners alike; the others return the markdown table.
+  * See DESIGN.md §6 and EXPERIMENTS.md for paper-vs-measured.
   */
 object Experiments {
   import Runner._
@@ -153,8 +154,14 @@ object Experiments {
 
   // ---- Figure 6: neighbor approximation, real-like vs random graphs ----
 
-  def fig6Neighbor(spark: SparkSession): String = {
-    val rows = Datasets.all.map { spec =>
+  /** TPA-NA's mean L1 error and Spearman on an analog and on its
+    * Erdős–Rényi counterpart with the same n and m.
+    */
+  final case class Fig6Row(dataset: String, l1Real: Double, l1Random: Double,
+                           spearmanReal: Double, spearmanRandom: Double)
+
+  def fig6Neighbor(spark: SparkSession): Seq[Fig6Row] =
+    Datasets.all.map { spec =>
       val gReal = Datasets.local(spark, spec)
       val gRand = Datasets.randomCounterpartLocal(spark, spec)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
@@ -164,24 +171,28 @@ object Experiments {
           val na = Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, s, ExpConfig.eps)
           (Metrics.l1(na, ex), Metrics.spearman(na, ex))
         }
-        (pairs.map(_._1).sum / pairs.size, pairs.map(_._2).sum / pairs.size)
+        (mean(pairs.map(_._1)), mean(pairs.map(_._2)))
       }
       val (l1Real, spReal) = run(gReal, cached = true)
       val (l1Rand, spRand) = run(gRand, cached = false)
-      Seq(spec.name, fmtSci(l1Real), fmtSci(l1Rand),
-          f"$spReal%.4f", f"$spRand%.4f")
+      Fig6Row(spec.name, l1Real, l1Rand, spReal, spRand)
     }
+
+  def fig6Table(rows: Seq[Fig6Row]): String =
     table(Seq("dataset", "TPA-NA L1 (real-like)", "TPA-NA L1 (random)",
-              "Spearman (real-like)", "Spearman (random)"), rows)
-  }
+              "Spearman (real-like)", "Spearman (random)"),
+      rows.map(r => Seq(r.dataset, fmtSci(r.l1Real), fmtSci(r.l1Random),
+                        f"${r.spearmanReal}%.4f", f"${r.spearmanRandom}%.4f")))
 
   // ---- Figure 7: effect of S (T = 10) on online time and L1 ----
 
-  def fig7SSweep(spark: SparkSession, specs: Seq[DatasetSpec] =
-      Seq(Datasets.livejournal, Datasets.pokec)): String = {
+  /** TPA's mean online time and L1 error at one S, with T = 10. */
+  final case class Fig7Row(dataset: String, s: Int, onlineMs: Double, l1: Double)
+
+  def fig7SSweep(spark: SparkSession): Seq[Fig7Row] = {
     val tFixed = 10
-    val rows = for {
-      spec <- specs
+    for {
+      spec <- Seq(Datasets.livejournal, Datasets.pokec)
       g = Datasets.local(spark, spec)
       // Reuse the registry stranger vector only when it was built with T=10.
       model = if (spec.t == tFixed)
@@ -189,40 +200,54 @@ object Experiments {
               else Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tFixed)
       sVal <- 1 to 8
     } yield {
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      val runs = seeds.map { s =>
+      val runs = Datasets.seedNodes(spec, ExpConfig.numSeeds).map { s =>
         val t = time(Tpa.online(g, model, sVal, s, ExpConfig.eps))
         (t.ms, Metrics.l1(t.value, exact(g, spec, s)))
       }
-      Seq(spec.name, sVal.toString,
-          fmtMs(runs.map(_._1).sum / runs.size),
-          fmtSci(runs.map(_._2).sum / runs.size))
+      Fig7Row(spec.name, sVal, mean(runs.map(_._1)), mean(runs.map(_._2)))
     }
-    table(Seq("dataset", "S", "online time", "L1 error"), rows)
   }
+
+  def fig7Table(rows: Seq[Fig7Row]): String =
+    table(Seq("dataset", "S", "online time", "L1 error"),
+      rows.map(r => Seq(r.dataset, r.s.toString, fmtMs(r.onlineMs), fmtSci(r.l1))))
 
   // ---- Figure 8: effect of T (S = 4) on L1 and Spearman ----
 
-  def fig8TSweep(spark: SparkSession, specs: Seq[DatasetSpec] =
-      Seq(Datasets.livejournal, Datasets.pokec),
-      tValues: Seq[Int] = Seq(4, 5, 6, 8, 10, 15, 20, 30)): String = {
+  /** TPA's mean L1 error and Spearman at one T, with S = 4. */
+  final case class Fig8Row(dataset: String, t: Int, l1: Double, spearman: Double)
+
+  /** The T sweep on the LiveJournal and Pokec analogs, then on a
+    * strong-community SBM (n = 4096, 32 blocks, 95 % in-block draws).
+    * The analogs mix too fast for the small-T penalty to show; the SBM
+    * has the locality behind the paper's full U-shape (EXPERIMENTS.md).
+    */
+  def fig8TSweep(spark: SparkSession): Seq[Fig8Row] = {
+    val analogs = Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
+      val g = Datasets.local(spark, spec)
+      tSweep(spec.name, g, Datasets.seedNodes(spec, ExpConfig.numSeeds), exact(g, spec, _))
+    }
+    val sbm = GraphGen.communities(4096, 32, 40000, 0.95, 77)
+    val sbmSeeds = Seq(1, 100, 2000, 3000, 4001)
+    analogs ++ tSweep("sbm-community", sbm, sbmSeeds,
+                      sbmSeeds.map(s => s -> exactOn(sbm, s)).toMap)
+  }
+
+  private def tSweep(name: String, g: LocalGraph, seeds: Seq[Int],
+                     exactOf: Int => Array[Double]): Seq[Fig8Row] = {
     val sFixed = 4
-    val rows = for {
-      spec <- specs
-      g = Datasets.local(spark, spec)
-      tVal <- tValues
-    } yield {
+    Seq(4, 5, 6, 8, 10, 15, 20, 30).map { tVal =>
       val model = Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tVal)
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       val runs = seeds.map { s =>
         val v = Tpa.online(g, model, sFixed, s, ExpConfig.eps)
-        val ex = exact(g, spec, s)
+        val ex = exactOf(s)
         (Metrics.l1(v, ex), Metrics.spearman(v, ex))
       }
-      Seq(spec.name, tVal.toString,
-          fmtSci(runs.map(_._1).sum / runs.size),
-          f"${runs.map(_._2).sum / runs.size}%.4f")
+      Fig8Row(name, tVal, mean(runs.map(_._1)), mean(runs.map(_._2)))
     }
-    table(Seq("dataset", "T", "L1 error", "Spearman"), rows)
   }
+
+  def fig8Table(rows: Seq[Fig8Row]): String =
+    table(Seq("dataset", "T", "L1 error", "Spearman"),
+      rows.map(r => Seq(r.dataset, r.t.toString, fmtSci(r.l1), f"${r.spearman}%.4f")))
 }

@@ -32,6 +32,9 @@ object Runner {
     sb.toString
   }
 
+  /** Arithmetic mean, summed in order. */
+  def mean(xs: Seq[Double]): Double = xs.sum / xs.size
+
   def fmtMs(ms: Double): String = f"$ms%.1f ms"
   def fmtSci(x: Double): String = f"$x%.3e"
   def fmtBytes(b: Long): String =

@@ -5,6 +5,8 @@ import repro.core.{Cpi, CpiGraphX, Tpa, TpaSpark}
 import repro.graph.{Datasets, DatasetSpec, GraphGen}
 import repro.metrics.Metrics
 
+import scala.collection.mutable
+
 /** Distributed-dataflow reproduction of the scalability claim: TPA's
   * two phases run as Spark jobs — the stranger phase (PageRank-like CPI
   * tail) and the family phase as either DataFrame join–aggregate
@@ -16,50 +18,67 @@ import repro.metrics.Metrics
 object SparkScale {
   import Runner._
 
-  def run(spark: SparkSession, spec: DatasetSpec = Datasets.wikilink): String = {
+  /** One engine's preprocess and online wall time, and its online
+    * vector's accuracy against the driver-side exact RWR.
+    */
+  final case class Row(engine: String, prepMs: Double, onlineMs: Double,
+                       l1: Double, spearman: Double)
+
+  /** Both engines on `spec`, DataFrame first. Every DataFrame and graph
+    * it caches is released before it returns, also on failure.
+    */
+  def run(spark: SparkSession, spec: DatasetSpec): Seq[Row] = {
     val c = ExpConfig.c; val eps = ExpConfig.eps
-    val edges = Datasets.edges(spark, spec)
-    val norm = GraphGen.normalize(edges).persist()
-    norm.count()
-    val g = Datasets.local(spark, spec)
-    val seed = Datasets.seedNodes(spec, 1).head
-    val ex = exact(g, spec, seed)
+    val release = mutable.ArrayBuffer.empty[() => Unit]
+    try {
+      val edges = Datasets.edges(spark, spec)
+      val norm = GraphGen.normalize(edges).persist()
+      release += (() => norm.unpersist())
+      norm.count()
+      val g = Datasets.local(spark, spec)
+      val seed = Datasets.seedNodes(spec, 1).head
+      val ex = exact(g, spec, seed)
+      def row(engine: String, prepMs: Double, online: Timed[Array[Double]]) =
+        Row(engine, prepMs, online.ms,
+            Metrics.l1(online.value, ex), Metrics.spearman(online.value, ex))
 
-    // DataFrame engine
-    val prepDf = time {
-      val df = TpaSpark.preprocess(spark, norm, spec.n.toLong, c, eps, spec.t).persist()
-      df.count(); df
-    }
-    val onlineDf = time {
-      Cpi.toDense(
-        TpaSpark.online(spark, norm, prepDf.value, c, spec.s, spec.t, seed.toLong, eps),
-        spec.n)
-    }
+      // DataFrame engine
+      val prepDf = time {
+        val df = TpaSpark.preprocess(spark, norm, spec.n.toLong, c, eps, spec.t).persist()
+        release += (() => df.unpersist())
+        df.count(); df
+      }
+      val onlineDf = time {
+        Cpi.toDense(
+          TpaSpark.online(spark, norm, prepDf.value, c, spec.s, spec.t, seed.toLong, eps),
+          spec.n)
+      }
 
-    // GraphX engine
-    val graph = CpiGraphX.build(spark, edges).cache()
-    graph.vertices.count(); graph.edges.count()
-    val prepGx = time {
-      CpiGraphX.toDense(
-        CpiGraphX.run(spark, graph, _ => 1.0 / spec.n, c, eps, spec.t, Int.MaxValue),
-        spec.n)
-    }
-    val onlineGx = time {
-      val fam = CpiGraphX.toDense(
-        CpiGraphX.run(spark, graph, id => if (id == seed) 1.0 else 0.0,
-                      c, eps, 0, spec.s - 1), spec.n)
-      val scale = 1.0 + Tpa.neighborFactor(c, spec.s, spec.t)
-      Array.tabulate(spec.n)(i => fam(i) * scale + prepGx.value(i))
-    }
+      // GraphX engine
+      val graph = CpiGraphX.build(spark, edges).cache()
+      release += (() => graph.unpersist())
+      graph.vertices.count(); graph.edges.count()
+      val prepGx = time {
+        CpiGraphX.toDense(
+          CpiGraphX.run(spark, graph, _ => 1.0 / spec.n, c, eps, spec.t, Int.MaxValue),
+          spec.n)
+      }
+      val onlineGx = time {
+        val fam = CpiGraphX.toDense(
+          CpiGraphX.run(spark, graph, id => if (id == seed) 1.0 else 0.0,
+                        c, eps, 0, spec.s - 1), spec.n)
+        val scale = 1.0 + Tpa.neighborFactor(c, spec.s, spec.t)
+        Array.tabulate(spec.n)(i => fam(i) * scale + prepGx.value(i))
+      }
 
-    val rows = Seq(
-      Seq("DataFrame", fmtMs(prepDf.ms), fmtMs(onlineDf.ms),
-          fmtSci(Metrics.l1(onlineDf.value, ex)),
-          f"${Metrics.spearman(onlineDf.value, ex)}%.4f"),
-      Seq("GraphX", fmtMs(prepGx.ms), fmtMs(onlineGx.ms),
-          fmtSci(Metrics.l1(onlineGx.value, ex)),
-          f"${Metrics.spearman(onlineGx.value, ex)}%.4f"))
-    s"dataset: ${spec.name} (n=${spec.n})\n\n" +
-      table(Seq("engine", "prep time", "online time", "L1 vs exact", "Spearman"), rows)
+      Seq(row("DataFrame", prepDf.ms, onlineDf), row("GraphX", prepGx.ms, onlineGx))
+    } finally release.foreach(_())
   }
+
+  /** The rows as a markdown table under a line naming the dataset. */
+  def report(spec: DatasetSpec, rows: Seq[Row]): String =
+    s"dataset: ${spec.name} (n=${spec.n})\n\n" +
+      table(Seq("engine", "prep time", "online time", "L1 vs exact", "Spearman"),
+        rows.map(r => Seq(r.engine, fmtMs(r.prepMs), fmtMs(r.onlineMs),
+                          fmtSci(r.l1), f"${r.spearman}%.4f")))
 }

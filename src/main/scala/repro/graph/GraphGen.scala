@@ -4,7 +4,11 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 
-/** Synthetic graph generators, expressed as Spark DataFrame jobs.
+import scala.collection.mutable
+import scala.util.Random
+
+/** Synthetic graph generators, expressed as Spark DataFrame jobs, plus
+  * a driver-side SBM ([[communities]]) for graphs built without Spark.
   *
   * All generators emit a directed edge list with columns `src`, `dst`
   * (LongType, node ids in `[0, n)`), deduplicated and free of
@@ -113,4 +117,46 @@ object GraphGen {
   /** Convenience: Erdős–Rényi with dangling patch. */
   def erGraph(spark: SparkSession, n: Long, mTarget: Long, seed: Long): DataFrame =
     fixDangling(spark, erdosRenyi(spark, n, mTarget, seed), n)
+
+  // ---- driver-side generators (scala.util.Random, no Spark) ----
+
+  /** Driver-side stochastic block model: `k` equal blocks; each of `m`
+    * draws stays inside the source's block with probability `pIn`.
+    * Dangling nodes are patched as in [[localPatched]].
+    */
+  def communities(n: Int, k: Int, m: Int, pIn: Double, seed: Long): LocalGraph = {
+    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
+    val bs = n / k
+    val pairs = distinctDraws(m, seed) { rng =>
+      val u = rng.nextInt(n)
+      (u, if (rng.nextDouble() < pIn) (u / bs) * bs + rng.nextInt(bs) else rng.nextInt(n))
+    }
+    localPatched(n, pairs, n)
+  }
+
+  /** Up to `m` distinct edges from `draw`, self-loops dropped, in first-draw
+    * order; gives up after 10·m draws.
+    */
+  private[repro] def distinctDraws(m: Int, seed: Long)(draw: Random => (Int, Int)): Seq[(Int, Int)] = {
+    val rng = new Random(seed)
+    val set = mutable.LinkedHashSet.empty[(Int, Int)]
+    var tries = 0
+    while (set.size < m && tries < m * 10) {
+      val (u, v) = draw(rng)
+      if (u != v) set += ((u, v))
+      tries += 1
+    }
+    set.toSeq
+  }
+
+  /** CSR over `n` nodes of `pairs` plus, for every node u < `patchBelow`
+    * without an out-edge, the edge u → (u+1) mod `patchBelow` — the
+    * driver-side [[fixDangling]].
+    */
+  private[repro] def localPatched(n: Int, pairs: Seq[(Int, Int)], patchBelow: Int): LocalGraph = {
+    val has = new Array[Boolean](patchBelow)
+    pairs.foreach(p => has(p._1) = true)
+    val all = pairs ++ (0 until patchBelow).collect { case u if !has(u) => (u, (u + 1) % patchBelow) }
+    LocalGraph.fromEdges(n, all.map(_._1).toArray, all.map(_._2).toArray)
+  }
 }

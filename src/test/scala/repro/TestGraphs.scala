@@ -1,45 +1,18 @@
 package repro
 
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
 
 /** Deterministic driver-side graph builders for unit tests (no Spark).
-  * All are dangling-free so the paper's norm lemmas hold exactly.
+  * All but [[withDangling]] are dangling-free so the paper's norm lemmas
+  * hold exactly; the SBM builder is [[GraphGen.communities]].
   */
 object TestGraphs {
 
   /** Random digraph: `m` draws over [0,n)², dedup, no self-loops, then
     * dangling nodes patched with an edge to their successor.
     */
-  def random(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new scala.util.Random(seed)
-    val set = scala.collection.mutable.LinkedHashSet.empty[(Int, Int)]
-    var tries = 0
-    while (set.size < m && tries < m * 10) {
-      val u = rng.nextInt(n); val v = rng.nextInt(n)
-      if (u != v) set += ((u, v))
-      tries += 1
-    }
-    fromPairs(n, patchDangling(n, set.toSeq))
-  }
-
-  /** Block-wise digraph: `k` equal communities; each of `m` draws stays
-    * inside the source's community with probability `pIn`.
-    */
-  def communities(n: Int, k: Int, m: Int, pIn: Double, seed: Long): LocalGraph = {
-    require(n % k == 0)
-    val bs = n / k
-    val rng = new scala.util.Random(seed)
-    val set = scala.collection.mutable.LinkedHashSet.empty[(Int, Int)]
-    var tries = 0
-    while (set.size < m && tries < m * 10) {
-      val u = rng.nextInt(n)
-      val v = if (rng.nextDouble() < pIn) (u / bs) * bs + rng.nextInt(bs)
-              else rng.nextInt(n)
-      if (u != v) set += ((u, v))
-      tries += 1
-    }
-    fromPairs(n, patchDangling(n, set.toSeq))
-  }
+  def random(n: Int, m: Int, seed: Long): LocalGraph =
+    GraphGen.localPatched(n, GraphGen.distinctDraws(m, seed)(r => (r.nextInt(n), r.nextInt(n))), n)
 
   /** Directed cycle 0→1→…→n-1→0. */
   def cycle(n: Int): LocalGraph =
@@ -49,27 +22,11 @@ object TestGraphs {
   def clique(n: Int): LocalGraph =
     fromPairs(n, for { u <- 0 until n; v <- 0 until n if u != v } yield (u, v))
 
-  /** A graph with a deliberate dangling node (node n-1 has no out-edges). */
-  def withDangling(n: Int, m: Int, seed: Long): LocalGraph = {
-    val rng = new scala.util.Random(seed)
-    val set = scala.collection.mutable.LinkedHashSet.empty[(Int, Int)]
-    var tries = 0
-    while (set.size < m && tries < m * 10) {
-      val u = rng.nextInt(n - 1) // never emit from n-1
-      val v = rng.nextInt(n)
-      if (u != v) set += ((u, v))
-      tries += 1
-    }
-    // make sure every other node has an out-edge
-    val pairs = patchDangling(n - 1, set.toSeq)
-    fromPairs(n, pairs)
-  }
-
-  private def patchDangling(n: Int, pairs: Seq[(Int, Int)]): Seq[(Int, Int)] = {
-    val has = new Array[Boolean](n)
-    pairs.foreach(p => has(p._1) = true)
-    pairs ++ (0 until n).collect { case u if !has(u) => (u, (u + 1) % n) }
-  }
+  /** A graph with a deliberate dangling node (node n-1 has no out-edges);
+    * every other node is patched to have one.
+    */
+  def withDangling(n: Int, m: Int, seed: Long): LocalGraph =
+    GraphGen.localPatched(n, GraphGen.distinctDraws(m, seed)(r => (r.nextInt(n - 1), r.nextInt(n))), n - 1)
 
   private def fromPairs(n: Int, pairs: Seq[(Int, Int)]): LocalGraph =
     LocalGraph.fromEdges(n, pairs.map(_._1).toArray, pairs.map(_._2).toArray)

@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.LocalCpi
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** BEAR-APPROX correctness: block elimination is exact at drop
@@ -14,7 +15,7 @@ class BearApproxSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-60" -> TestGraphs.random(60, 360, 41),
-    "communities-80" -> TestGraphs.communities(80, 4, 480, 0.85, 42),
+    "communities-80" -> GraphGen.communities(80, 4, 480, 0.85, 42),
     "cycle-30" -> TestGraphs.cycle(30))
 
   for ((name, g) <- graphs; seed <- Seq(0, 9)) {

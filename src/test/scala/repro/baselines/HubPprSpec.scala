@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.LocalCpi
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** HubPPR correctness: the backward-push invariant holds against exact
@@ -12,7 +13,7 @@ import repro.metrics.Metrics
 class HubPprSpec extends AnyFunSuite {
   val c = 0.15
   val g = TestGraphs.random(50, 300, 51)
-  val gComm = TestGraphs.communities(60, 3, 360, 0.85, 52)
+  val gComm = GraphGen.communities(60, 3, 360, 0.85, 52)
 
   for (t <- Seq(0, 7, 13, 21, 33)) {
     test(s"backward-push invariant: π(s,t) = p_t(s) + Σ res_t(v)·π(s,v), t=$t") {

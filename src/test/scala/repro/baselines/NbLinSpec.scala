@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.LocalCpi
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** NB-LIN correctness: the Sherman–Morrison–Woodbury closed form is
@@ -13,7 +14,7 @@ class NbLinSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-40" -> TestGraphs.random(40, 240, 31),
-    "communities-48" -> TestGraphs.communities(48, 4, 300, 0.85, 32),
+    "communities-48" -> GraphGen.communities(48, 4, 300, 0.85, 32),
     "clique-12" -> TestGraphs.clique(12))
 
   for ((name, g) <- graphs; seed <- Seq(0, 3)) {

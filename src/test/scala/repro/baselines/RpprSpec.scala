@@ -3,6 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.core.LocalCpi
+import repro.graph.GraphGen
 import repro.metrics.Metrics
 
 /** RPPR/BRPPR push correctness: both converge to the exact RWR as their
@@ -14,7 +15,7 @@ class RpprSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-150" -> TestGraphs.random(150, 900, 21),
-    "communities-200" -> TestGraphs.communities(200, 5, 1200, 0.85, 22),
+    "communities-200" -> GraphGen.communities(200, 5, 1200, 0.85, 22),
     "cycle-40" -> TestGraphs.cycle(40))
 
   for ((name, g) <- graphs; seed <- Seq(0, 7, 13)) {
@@ -72,7 +73,7 @@ class RpprSpec extends AnyFunSuite {
   }
 
   test("coarse RPPR concentrates mass near the seed (locality)") {
-    val g = TestGraphs.communities(200, 5, 1200, 0.9, 23)
+    val g = GraphGen.communities(200, 5, 1200, 0.9, 23)
     val r = Rppr.rppr(g, 0, c, 1e-3).scores
     // the seed retains the single largest score
     assert(r(0) == r.max)

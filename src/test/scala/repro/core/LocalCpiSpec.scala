@@ -5,7 +5,7 @@ import java.util.concurrent.{Callable, CyclicBarrier, Executors, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baselines.PowerIteration
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
 import repro.metrics.Metrics
 
 /** CPI-IMPL (Algorithm 1) correctness: Theorem 1 (CPI = PI), agreement
@@ -20,7 +20,7 @@ class LocalCpiSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-200" -> TestGraphs.random(200, 1200, 1),
-    "communities-240" -> TestGraphs.communities(240, 6, 1400, 0.85, 2),
+    "communities-240" -> GraphGen.communities(240, 6, 1400, 0.85, 2),
     "cycle-50" -> TestGraphs.cycle(50))
 
   for ((name, g) <- graphs; seed <- Seq(0, 3, 7, 11, 19, 23, 42 % g.n, 13, 17, 29)) {

@@ -7,7 +7,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
 import repro.metrics.Metrics
 
 /** TPA (Algorithms 2 & 3) correctness: the Lemma 2 / Lemma 4 / Theorem 2
@@ -22,7 +22,7 @@ class TpaSpec extends AnyFunSuite {
 
   val graphs = Seq(
     "random-200" -> TestGraphs.random(200, 1200, 11),
-    "communities-300" -> TestGraphs.communities(300, 10, 2400, 0.9, 12),
+    "communities-300" -> GraphGen.communities(300, 10, 2400, 0.9, 12),
     "random-120" -> TestGraphs.random(120, 500, 13))
 
   for ((name, g) <- graphs; seed <- Seq(0, 3, 7, 15, 21, 33, 47, 59, 61, 83)) {

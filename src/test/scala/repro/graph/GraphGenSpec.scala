@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 
 /** Generator invariants: determinism, id ranges, dedup, dangling patch,
   * normalization, and the structural differences (skew, blocks) that the
@@ -42,6 +42,24 @@ class GraphGenSpec extends SparkSpec {
     val other = GraphGen.rmat(spark, 8, 1500, 8)
     assert(rmatE.exceptAll(other).count() > 0)
   }
+
+  // n, m and java.util.Arrays.hashCode of offsets and targets, recorded
+  // from the test-only builders these driver-side generators replaced:
+  // the same draw order gives the same graph, edge for edge.
+  for ((name, g, fp) <- Seq(
+      ("communities(4096, 32, 40000, 0.95, 77)",
+       () => GraphGen.communities(4096, 32, 40000, 0.95, 77), (4096, 40000, -1648983318, -1798612947)),
+      ("communities(240, 6, 1400, 0.85, 2)",
+       () => GraphGen.communities(240, 6, 1400, 0.85, 2), (240, 1400, -812112300, 1173052443)),
+      ("TestGraphs.random(200, 1200, 1)",
+       () => TestGraphs.random(200, 1200, 1), (200, 1201, -120664215, -1343258058)),
+      ("TestGraphs.withDangling(100, 500, 3)",
+       () => TestGraphs.withDangling(100, 500, 3), (100, 501, 1826927961, -886028584))))
+    test(s"$name matches its recorded fingerprint") {
+      val gr = g()
+      assert((gr.n, gr.m, java.util.Arrays.hashCode(gr.offsets),
+              java.util.Arrays.hashCode(gr.targets)) == fp)
+    }
 
   test("fixDangling leaves no node without out-edges") {
     val fixed = GraphGen.fixDangling(spark, rmatE, 256)

@@ -62,7 +62,7 @@ class LocalGraphSpec extends AnyFunSuite {
 
   val reverseCases = Seq(
     "random-200" -> TestGraphs.random(200, 1200, 1),
-    "communities-240" -> TestGraphs.communities(240, 6, 1400, 0.85, 2),
+    "communities-240" -> GraphGen.communities(240, 6, 1400, 0.85, 2),
     "with-dangling-100" -> TestGraphs.withDangling(100, 500, 3),
     "duplicates-and-self-loops-30" -> withDuplicates)
 

@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import scala.collection.mutable.ArrayBuffer
 
 /** Cumulative Power Iteration as a Spark DataFrame (Catalyst) job.
   *
@@ -29,61 +28,38 @@ object Cpi {
   def uniformSeed(spark: SparkSession, n: Long): DataFrame =
     spark.range(n).select(col("id").as("node"), lit(1.0 / n).as("q"))
 
-  /** Run CPI-IMPL distributed.
+  /** Run CPI-IMPL distributed over the window [sIter, tIter] of
+    * [[CpiEngine.run]], through [[CpiEngine.supersteps]].
     *
     * @param normEdges weighted edges (`src`, `dst`, `w`) from [[repro.graph.GraphGen.normalize]]
     * @param seeds     seed vector as (`node`, `q`) rows (zero entries omitted)
-    * @param sIter     first accumulated iteration (inclusive)
-    * @param tIter     last accumulated iteration (inclusive); Int.MaxValue = ∞
-    * @return (`node`, `score`) rows; nodes with zero score are omitted
     */
   def run(spark: SparkSession, normEdges: DataFrame, seeds: DataFrame,
-          c: Double, eps: Double, sIter: Int, tIter: Int): DataFrame = {
-    require(c > 0 && c < 1, s"restart probability out of range: $c")
-    LocalCpi.requireStops(eps, tIter)
-    val zero = spark.emptyDataFrame
-      .select(lit(0L).as("node"), lit(0.0).as("x")).limit(0)
-    if (tIter < 0) return zero.withColumnRenamed("x", "score")
-
-    val parts = ArrayBuffer.empty[DataFrame]
-    var x = seeds
-      .select(col("node"), (col("q") * c).as("x"))
-      .filter(col("x") =!= 0.0)
-      .localCheckpoint(true)
-    if (sIter <= 0) parts += x
-
-    var iter = 1
-    var done = tIter == 0
-    while (!done) {
-      val nx = normEdges
+          c: Double, eps: Double, sIter: Int, tIter: Int): DataFrame =
+    CpiEngine.supersteps[DataFrame](c, eps, sIter, tIter)(
+      empty = spark.emptyDataFrame.select(lit(0L).as("node"), lit(0.0).as("score")).limit(0),
+      seed = seeds.select(col("node"), (col("q") * c).as("x"))
+        .filter(col("x") =!= 0.0)
+        .localCheckpoint(true),
+      hop = x => normEdges
         .join(x, normEdges("src") === x("node"))
         .groupBy(normEdges("dst").as("node"))
         .agg((sum(col("w") * col("x")) * (1.0 - c)).as("x"))
-        .localCheckpoint(true)
-      val norm = nx.agg(sum("x")).first() match {
+        .localCheckpoint(true),
+      norm = _.agg(sum("x")).first() match {
         case row if row.isNullAt(0) => 0.0
         case row                    => row.getDouble(0)
-      }
-      if (iter >= sIter && iter <= tIter) parts += nx
-      x = nx
-      if (norm < eps || iter >= tIter) done = true
-      iter += 1
-    }
+      },
+      sum = _.reduce(_ unionByName _).groupBy("node").agg(sum("x").as("score")))
 
-    if (parts.isEmpty) zero.withColumnRenamed("x", "score")
-    else parts.reduce(_ unionByName _)
-      .groupBy("node").agg(sum("x").as("score"))
+  /** The DataFrame engine over a weighted edge table. */
+  def engine(spark: SparkSession, normEdges: DataFrame): CpiEngine = new CpiEngine {
+    def run(seed: CpiEngine.Seed, c: Double, eps: Double, sIter: Int, tIter: Int): DataFrame =
+      Cpi.run(spark, normEdges, seed match {
+        case CpiEngine.Node(s)    => unitSeed(spark, s)
+        case CpiEngine.Uniform(n) => uniformSeed(spark, n)
+      }, c, eps, sIter, tIter)
   }
-
-  /** Exact RWR from seed `s` as a DataFrame job. */
-  def rwr(spark: SparkSession, normEdges: DataFrame, s: Long,
-          c: Double, eps: Double = 1e-9): DataFrame =
-    run(spark, normEdges, unitSeed(spark, s), c, eps, 0, Int.MaxValue)
-
-  /** Exact PageRank as a DataFrame job. */
-  def pagerank(spark: SparkSession, normEdges: DataFrame, n: Long,
-               c: Double, eps: Double = 1e-9): DataFrame =
-    run(spark, normEdges, uniformSeed(spark, n), c, eps, 0, Int.MaxValue)
 
   /** Collect a (`node`, `score`) DataFrame into a dense array of length n. */
   def toDense(scores: DataFrame, n: Int): Array[Double] = {

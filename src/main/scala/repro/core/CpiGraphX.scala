@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.graphx.{Graph, VertexId}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import scala.collection.mutable.ArrayBuffer
 
 /** Cumulative Power Iteration as GraphX iterative message passing.
   *
@@ -33,60 +32,47 @@ object CpiGraphX {
       .mapVertices((_, _) => 0)
   }
 
-  /** Run CPI-IMPL over a prebuilt weighted graph.
+  /** Run CPI-IMPL over a prebuilt weighted graph and the window
+    * [sIter, tIter] of [[CpiEngine.run]], through [[CpiEngine.supersteps]].
     *
-    * @param q     seed weight per vertex id (zero for absent ids)
-    * @param sIter first accumulated iteration (inclusive)
-    * @param tIter last accumulated iteration (inclusive); Int.MaxValue = ∞
+    * @param q seed weight per vertex id (zero for absent ids)
     * @return vertex RDD of accumulated scores (zero-score vertices omitted)
     */
   def run(spark: SparkSession, graph: Graph[Int, Double], q: VertexId => Double,
-          c: Double, eps: Double, sIter: Int, tIter: Int): RDD[(VertexId, Double)] = {
-    require(c > 0 && c < 1, s"restart probability out of range: $c")
-    LocalCpi.requireStops(eps, tIter)
-    val sc = spark.sparkContext
-    if (tIter < 0) return sc.emptyRDD[(VertexId, Double)]
-
-    val parts = ArrayBuffer.empty[RDD[(VertexId, Double)]]
-    var x: RDD[(VertexId, Double)] = graph.vertices
-      .mapValues((id, _) => c * q(id))
-      .filter(_._2 != 0.0)
-      .map(identity) // plain pair RDD so localCheckpoint is clean
-    x.localCheckpoint()
-    x.count()
-    if (sIter <= 0) parts += x
-
-    var iter = 1
-    var done = tIter == 0
-    while (!done) {
+          c: Double, eps: Double, sIter: Int, tIter: Int): RDD[(VertexId, Double)] =
+    CpiEngine.supersteps[RDD[(VertexId, Double)]](c, eps, sIter, tIter)(
+      empty = spark.sparkContext.emptyRDD[(VertexId, Double)],
+      seed = {
+        val x0 = graph.vertices
+          .mapValues((id, _) => c * q(id))
+          .filter(_._2 != 0.0)
+          .map(identity) // plain pair RDD so localCheckpoint is clean
+          .localCheckpoint()
+        x0.count()
+        x0
+      },
       // Ship x onto the static base graph, then one message-passing round.
-      val nx: RDD[(VertexId, Double)] = graph
+      hop = x => graph
         .outerJoinVertices(x)((_, _, xv) => xv.getOrElse(0.0))
         .aggregateMessages[Double](
           ctx => if (ctx.srcAttr != 0.0)
             ctx.sendToDst(ctx.srcAttr * ctx.attr * (1.0 - c)),
           _ + _)
         .map(identity)
-      nx.localCheckpoint()
-      val norm = nx.map(_._2).sum() // materializes the checkpoint
-      if (iter >= sIter && iter <= tIter) parts += nx
-      x = nx
-      if (norm < eps || iter >= tIter) done = true
-      iter += 1
-    }
-    if (parts.isEmpty) sc.emptyRDD[(VertexId, Double)]
-    else sc.union(parts.toSeq).reduceByKey(_ + _)
+        .localCheckpoint(),
+      norm = _.map(_._2).sum(), // materializes the checkpoint
+      // As many partitions as one iterate: the default, the parts' total,
+      // makes every later read of the sum (a TPA merge) run that many tasks.
+      sum = parts => spark.sparkContext.union(parts).reduceByKey(_ + _, graph.vertices.getNumPartitions))
+
+  /** The GraphX engine over a graph from [[build]]. Its vertex set is the
+    * edge endpoints, so a node with no edges at all carries no seed mass.
+    */
+  def engine(spark: SparkSession, graph: Graph[Int, Double]): CpiEngine = new CpiEngine {
+    def run(seed: CpiEngine.Seed, c: Double, eps: Double, sIter: Int, tIter: Int): DataFrame =
+      spark.createDataFrame(CpiGraphX.run(spark, graph, seed.weight, c, eps, sIter, tIter))
+        .toDF("node", "score")
   }
-
-  /** Exact RWR from seed `s` via GraphX. */
-  def rwr(spark: SparkSession, graph: Graph[Int, Double], s: Long,
-          c: Double, eps: Double = 1e-9): RDD[(VertexId, Double)] =
-    run(spark, graph, id => if (id == s) 1.0 else 0.0, c, eps, 0, Int.MaxValue)
-
-  /** Exact PageRank via GraphX (uniform seed over `n` nodes). */
-  def pagerank(spark: SparkSession, graph: Graph[Int, Double], n: Long,
-               c: Double, eps: Double = 1e-9): RDD[(VertexId, Double)] =
-    run(spark, graph, _ => 1.0 / n, c, eps, 0, Int.MaxValue)
 
   /** Collect vertex scores into a dense array of length n. */
   def toDense(scores: RDD[(VertexId, Double)], n: Int): Array[Double] = {

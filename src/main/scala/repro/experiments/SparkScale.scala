@@ -1,7 +1,7 @@
 package repro.experiments
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Cpi, CpiGraphX, Tpa, TpaSpark}
+import repro.core.{Cpi, CpiGraphX, TpaSpark}
 import repro.graph.{Datasets, DatasetSpec, GraphGen}
 import repro.metrics.Metrics
 
@@ -24,8 +24,9 @@ object SparkScale {
   final case class Row(engine: String, prepMs: Double, onlineMs: Double,
                        l1: Double, spearman: Double)
 
-  /** Both engines on `spec`, DataFrame first. Every DataFrame and graph
-    * it caches is released before it returns, also on failure.
+  /** Both engines on `spec` through [[TpaSpark]], DataFrame first. Every
+    * DataFrame and graph it caches is released before it returns, also on
+    * failure.
     */
   def run(spark: SparkSession, spec: DatasetSpec): Seq[Row] = {
     val c = ExpConfig.c; val eps = ExpConfig.eps
@@ -38,40 +39,22 @@ object SparkScale {
       val g = Datasets.local(spark, spec)
       val seed = Datasets.seedNodes(spec, 1).head
       val ex = exact(g, spec, seed)
-      def row(engine: String, prepMs: Double, online: Timed[Array[Double]]) =
-        Row(engine, prepMs, online.ms,
-            Metrics.l1(online.value, ex), Metrics.spearman(online.value, ex))
 
-      // DataFrame engine
-      val prepDf = time {
-        val df = TpaSpark.preprocess(spark, norm, spec.n.toLong, c, eps, spec.t).persist()
-        release += (() => df.unpersist())
-        df.count(); df
-      }
-      val onlineDf = time {
-        Cpi.toDense(
-          TpaSpark.online(spark, norm, prepDf.value, c, spec.s, spec.t, seed.toLong, eps),
-          spec.n)
-      }
-
-      // GraphX engine
       val graph = CpiGraphX.build(spark, edges).cache()
       release += (() => graph.unpersist())
       graph.vertices.count(); graph.edges.count()
-      val prepGx = time {
-        CpiGraphX.toDense(
-          CpiGraphX.run(spark, graph, _ => 1.0 / spec.n, c, eps, spec.t, Int.MaxValue),
-          spec.n)
-      }
-      val onlineGx = time {
-        val fam = CpiGraphX.toDense(
-          CpiGraphX.run(spark, graph, id => if (id == seed) 1.0 else 0.0,
-                        c, eps, 0, spec.s - 1), spec.n)
-        val scale = 1.0 + Tpa.neighborFactor(c, spec.s, spec.t)
-        Array.tabulate(spec.n)(i => fam(i) * scale + prepGx.value(i))
-      }
 
-      Seq(row("DataFrame", prepDf.ms, onlineDf), row("GraphX", prepGx.ms, onlineGx))
+      Seq("DataFrame" -> Cpi.engine(spark, norm), "GraphX" -> CpiGraphX.engine(spark, graph)).map { case (name, engine) =>
+        val prep = time {
+          val df = TpaSpark.preprocess(engine, spec.n.toLong, c, eps, spec.t).persist()
+          release += (() => df.unpersist())
+          df.count(); df
+        }
+        val online = time {
+          Cpi.toDense(TpaSpark.online(engine, prep.value, c, spec.s, spec.t, seed.toLong, eps), spec.n)
+        }
+        Row(name, prep.ms, online.ms, Metrics.l1(online.value, ex), Metrics.spearman(online.value, ex))
+      }
     } finally release.foreach(_())
   }
 

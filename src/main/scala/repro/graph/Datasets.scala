@@ -39,9 +39,6 @@ object Datasets {
   val all: Seq[DatasetSpec] =
     Seq(slashdot, google, pokec, livejournal, wikilink, twitter, friendster)
 
-  /** The subset small enough for exhaustive per-suite unit testing. */
-  val small: Seq[DatasetSpec] = Seq(slashdot, google)
-
   private val dfCache = scala.collection.mutable.Map.empty[String, DataFrame]
   private val localCache = scala.collection.mutable.Map.empty[String, LocalGraph]
 

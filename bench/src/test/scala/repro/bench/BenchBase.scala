@@ -1,12 +1,12 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-/** Base for bench suites: shares the SparkSession and prints each
-  * experiment's table under a recognizable banner so `bench_output.txt`
-  * doubles as the measured side of EXPERIMENTS.md.
+/** Base for bench suites: prints each experiment's table under a
+  * recognizable banner so `bench_output.txt` doubles as the measured side
+  * of EXPERIMENTS.md. Only [[SparkScaleBench]] starts Spark.
   */
-trait BenchBase extends SparkSpec {
+trait BenchBase extends AnyFunSuite {
   def banner(title: String, body: String): Unit = {
     println()
     println(s"==================== $title ====================")

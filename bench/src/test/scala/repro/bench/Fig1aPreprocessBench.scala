@@ -11,20 +11,20 @@ import repro.graph.Datasets
 class Fig1aPreprocessBench extends BenchBase {
 
   test("Fig 1(a): TPA preprocesses everywhere; dense methods only at the bottom") {
-    banner("Fig 1(a): preprocessing time", Experiments.fig1aPreprocess(spark))
+    banner("Fig 1(a): preprocessing time", Experiments.fig1aPreprocess())
     for (spec <- Datasets.all) {
-      val tpa = Runner.tpaModel(spark, spec)
+      val tpa = Runner.tpaModel(spec)
       assert(tpa.ms > 0, s"${spec.name}: TPA preprocessing did not run")
       // TPA is faster than every preprocessing competitor that ran at all
-      Runner.nbLinModel(spark, spec).foreach(nb =>
+      Runner.nbLinModel(spec).foreach(nb =>
         assert(tpa.ms < nb.ms, s"${spec.name}: TPA ${tpa.ms} !< NB-LIN ${nb.ms}"))
-      Runner.bearModel(spark, spec).foreach(bear =>
+      Runner.bearModel(spec).foreach(bear =>
         assert(tpa.ms < bear.ms, s"${spec.name}: TPA ${tpa.ms} !< BEAR ${bear.ms}"))
     }
     // paper: NB-LIN fails from Pokec onward, BEAR from Google onward
-    assert(Runner.nbLinModel(spark, Datasets.pokec).isEmpty)
-    assert(Runner.bearModel(spark, Datasets.google).isEmpty)
-    assert(Runner.nbLinModel(spark, Datasets.slashdot).nonEmpty)
-    assert(Runner.bearModel(spark, Datasets.slashdot).nonEmpty)
+    assert(Runner.nbLinModel(Datasets.pokec).isEmpty)
+    assert(Runner.bearModel(Datasets.google).isEmpty)
+    assert(Runner.nbLinModel(Datasets.slashdot).nonEmpty)
+    assert(Runner.bearModel(Datasets.slashdot).nonEmpty)
   }
 }

@@ -10,9 +10,9 @@ import repro.graph.Datasets
 class Fig1bOnlineBench extends BenchBase {
 
   test("Fig 1(b): TPA answers online queries on every dataset") {
-    banner("Fig 1(b): online time", Experiments.fig1bOnline(spark))
+    banner("Fig 1(b): online time", Experiments.fig1bOnline())
     for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spark, spec).map(s => s.method -> s).toMap
+      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
       assert(st("TPA").avgMs > 0)
       // HubPPR full-vector queries, where they run at all, are orders of
       // magnitude slower than TPA (the paper's 10⁴× observation).

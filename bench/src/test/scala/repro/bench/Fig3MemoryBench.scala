@@ -10,17 +10,17 @@ import repro.graph.Datasets
 class Fig3MemoryBench extends BenchBase {
 
   test("Fig 3: TPA stores the least preprocessed data") {
-    banner("Fig 3: preprocessed-data memory", Experiments.fig3Memory(spark))
+    banner("Fig 3: preprocessed-data memory", Experiments.fig3Memory())
     for (spec <- Datasets.all) {
-      val tpa = Runner.tpaModel(spark, spec).value.memoryBytes
+      val tpa = Runner.tpaModel(spec).value.memoryBytes
       assert(tpa == 8L * spec.n) // O(n), exactly one double per node
-      Runner.nbLinModel(spark, spec).foreach(nb =>
+      Runner.nbLinModel(spec).foreach(nb =>
         assert(tpa < nb.value.memoryBytes,
           s"${spec.name}: TPA $tpa !< NB-LIN ${nb.value.memoryBytes}"))
-      Runner.bearModel(spark, spec).foreach(bear =>
+      Runner.bearModel(spec).foreach(bear =>
         assert(tpa < bear.value.memoryBytes,
           s"${spec.name}: TPA $tpa !< BEAR ${bear.value.memoryBytes}"))
-      val hub = Runner.hubPprModel(spark, spec).value.memoryBytes
+      val hub = Runner.hubPprModel(spec).value.memoryBytes
       assert(tpa < hub, s"${spec.name}: TPA $tpa !< HubPPR $hub")
     }
   }

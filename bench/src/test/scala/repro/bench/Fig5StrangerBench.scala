@@ -11,10 +11,10 @@ import repro.graph.Datasets
 class Fig5StrangerBench extends BenchBase {
 
   test("Fig 5: stranger approximation lifts rank accuracy over TPA-NA") {
-    banner("Fig 5: TPA vs TPA-NA", Experiments.fig5Stranger(spark))
+    banner("Fig 5: TPA vs TPA-NA", Experiments.fig5Stranger())
     var wins = 0
     for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spark, spec).map(s => s.method -> s).toMap
+      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
       if (st("TPA").avgSpearman > st("TPA-NA").avgSpearman) wins += 1
     }
     // the ranking improvement is the paper's headline claim for Fig 5

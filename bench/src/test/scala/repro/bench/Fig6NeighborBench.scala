@@ -12,7 +12,7 @@ import repro.graph.Datasets
 class Fig6NeighborBench extends BenchBase {
 
   test("Fig 6: neighbor approximation exploits block structure") {
-    val rows = Experiments.fig6Neighbor(spark)
+    val rows = Experiments.fig6Neighbor()
     banner("Fig 6: TPA-NA on real-like vs random graphs", Experiments.fig6Table(rows))
     val l1Wins = rows.count(r => r.l1Real < r.l1Random)
     assert(l1Wins >= (Datasets.all.size + 1) / 2,

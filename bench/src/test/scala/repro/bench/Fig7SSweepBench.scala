@@ -11,7 +11,7 @@ import repro.graph.Datasets
 class Fig7SSweepBench extends BenchBase {
 
   test("Fig 7: growing S lowers L1 error and raises online cost") {
-    val rows = Experiments.fig7SSweep(spark)
+    val rows = Experiments.fig7SSweep()
     banner("Fig 7: effect of S (T=10)", Experiments.fig7Table(rows))
     for (spec <- Seq(Datasets.livejournal, Datasets.pokec)) {
       val l1 = rows.filter(_.dataset == spec.name).map(r => r.s -> r.l1).toMap

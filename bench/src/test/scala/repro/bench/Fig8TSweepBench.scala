@@ -18,7 +18,7 @@ import repro.graph.Datasets
 class Fig8TSweepBench extends BenchBase {
 
   test("Fig 8: T sweep — large-T penalty on analogs, full U-shape on SBM") {
-    val rows = Experiments.fig8TSweep(spark)
+    val rows = Experiments.fig8TSweep()
     banner("Fig 8: effect of T (S=4)", Experiments.fig8Table(rows))
     def sweep(name: String) = rows.filter(_.dataset == name)
 

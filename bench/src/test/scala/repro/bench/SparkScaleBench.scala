@@ -1,5 +1,6 @@
 package repro.bench
 
+import repro.SparkSpec
 import repro.core.Tpa
 import repro.experiments.{ExpConfig, SparkScale}
 import repro.graph.Datasets
@@ -10,7 +11,7 @@ import repro.graph.Datasets
   * the reproduction of "only TPA successfully preprocesses billion-scale
   * graphs" at our scale.
   */
-class SparkScaleBench extends BenchBase {
+class SparkScaleBench extends BenchBase with SparkSpec {
 
   test("distributed TPA (DataFrame + GraphX) completes on a large analog") {
     val spec = Datasets.wikilink

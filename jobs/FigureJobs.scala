@@ -7,61 +7,69 @@ import repro.graph.Datasets
 /** Table II — dataset statistics of the scaled analogs. */
 object DatasetStatsJob extends JobBase {
   val title = "Table II: datasets"
-  def run(spark: SparkSession): String = Experiments.tableII(spark)
+  def run(): String = Experiments.tableII()
 }
 
 /** Figure 1(a) — preprocessing time per method. */
 object PreprocessJob extends JobBase {
   val title = "Fig 1(a): preprocessing time"
-  def run(spark: SparkSession): String = Experiments.fig1aPreprocess(spark)
+  def run(): String = Experiments.fig1aPreprocess()
 }
 
 /** Figure 1(b) — online time per method. */
 object OnlineJob extends JobBase {
   val title = "Fig 1(b): online time"
-  def run(spark: SparkSession): String = Experiments.fig1bOnline(spark)
+  def run(): String = Experiments.fig1bOnline()
 }
 
 /** Figures 1(c) and 4 — L1 error and Spearman rank accuracy. */
 object AccuracyJob extends JobBase {
   val title = "Fig 1(c): L1 error / Fig 4: Spearman"
-  def run(spark: SparkSession): String =
-    Experiments.fig1cL1(spark) + "\n" + Experiments.fig4Spearman(spark)
+  def run(): String = Experiments.fig1cL1() + "\n" + Experiments.fig4Spearman()
 }
 
 /** Figure 3 — preprocessed-data memory per method. */
 object MemoryJob extends JobBase {
   val title = "Fig 3: preprocessed-data memory"
-  def run(spark: SparkSession): String = Experiments.fig3Memory(spark)
+  def run(): String = Experiments.fig3Memory()
 }
 
 /** Figure 5 — stranger approximation effectiveness (TPA vs TPA-NA). */
 object StrangerJob extends JobBase {
   val title = "Fig 5: stranger approximation"
-  def run(spark: SparkSession): String = Experiments.fig5Stranger(spark)
+  def run(): String = Experiments.fig5Stranger()
 }
 
 /** Figure 6 — neighbor approximation on real-like vs random graphs. */
 object NeighborJob extends JobBase {
   val title = "Fig 6: neighbor approximation"
-  def run(spark: SparkSession): String = Experiments.fig6Table(Experiments.fig6Neighbor(spark))
+  def run(): String = Experiments.fig6Table(Experiments.fig6Neighbor())
 }
 
 /** Figure 7 — effect of S on online time and L1 error. */
 object SSweepJob extends JobBase {
   val title = "Fig 7: effect of S"
-  def run(spark: SparkSession): String = Experiments.fig7Table(Experiments.fig7SSweep(spark))
+  def run(): String = Experiments.fig7Table(Experiments.fig7SSweep())
 }
 
 /** Figure 8 — effect of T on L1 error and Spearman (analogs and SBM). */
 object TSweepJob extends JobBase {
   val title = "Fig 8: effect of T"
-  def run(spark: SparkSession): String = Experiments.fig8Table(Experiments.fig8TSweep(spark))
+  def run(): String = Experiments.fig8Table(Experiments.fig8TSweep())
 }
 
-/** Distributed TPA (DataFrame + GraphX engines) on a large analog. */
+/** Distributed TPA (DataFrame + GraphX engines) on a large analog; the
+  * one job that starts Spark.
+  */
 object SparkScaleJob extends JobBase {
   val title = "Distributed TPA (DataFrame / GraphX)"
-  def run(spark: SparkSession): String =
-    SparkScale.report(Datasets.wikilink, SparkScale.run(spark, Datasets.wikilink))
+  def run(): String = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("SparkScaleJob")
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .getOrCreate()
+    try SparkScale.report(Datasets.wikilink, SparkScale.run(spark, Datasets.wikilink))
+    finally spark.stop()
+  }
 }

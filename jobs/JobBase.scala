@@ -1,24 +1,16 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
-
-/** Shared main-method plumbing for the spark-submit entrypoints: build
-  * (or reuse) a SparkSession, run one experiment, print its table.
+/** Shared main-method plumbing for the spark-submit entrypoints: run one
+  * experiment, print its table under its title.
   */
 trait JobBase {
   /** Title printed above the table. */
   def title: String
   /** Produce the experiment's markdown table. */
-  def run(spark: SparkSession): String
+  def run(): String
 
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(getClass.getSimpleName.stripSuffix("$"))
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .getOrCreate()
     println(s"== $title ==")
-    println(run(spark))
-    spark.stop()
+    println(run())
   }
 }

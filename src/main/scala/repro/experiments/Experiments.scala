@@ -1,6 +1,5 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.{HubPpr, NbLin, BearApprox, Rppr}
 import repro.core.Tpa
 import repro.graph.{Datasets, DatasetSpec, GraphGen, LocalGraph}
@@ -28,9 +27,9 @@ object Experiments {
   /** Run every online method on a dataset, measuring time and accuracy
     * against the exact RWR for each seed. Cached per dataset.
     */
-  def onlineStats(spark: SparkSession, spec: DatasetSpec): Seq[MethodStats] =
+  def onlineStats(spec: DatasetSpec): Seq[MethodStats] =
     onlineCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spark, spec)
+      val g = Datasets.local(spec)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       val exacts = seeds.map(s => (s, exact(g, spec, s))).toMap
 
@@ -46,7 +45,7 @@ object Experiments {
       }
       def oot(name: String) = MethodStats(name, Double.NaN, Double.NaN, Double.NaN, "OOT")
 
-      val tpa = tpaModel(spark, spec).value
+      val tpa = tpaModel(spec).value
       val out = mutable.ArrayBuffer.empty[MethodStats]
       out += stats("TPA", seeds)(s => Tpa.online(g, tpa, spec.s, s, ExpConfig.eps))
       out += stats("TPA-NA", seeds)(s =>
@@ -55,18 +54,18 @@ object Experiments {
         Rppr.rppr(g, s, ExpConfig.c, ExpConfig.rpprTheta).scores)
       out += stats("BRPPR", seeds)(s =>
         Rppr.brppr(g, s, ExpConfig.c, ExpConfig.brpprKappa).scores)
-      out += (nbLinModel(spark, spec) match {
+      out += (nbLinModel(spec) match {
         case Some(m) => stats("NB-LIN", seeds)(s => NbLin.query(m.value, s))
         case None    => oot("NB-LIN")
       })
-      out += (bearModel(spark, spec) match {
+      out += (bearModel(spec) match {
         case Some(m) => stats("BEAR-APPROX", seeds)(s => BearApprox.query(m.value, s))
         case None    => oot("BEAR-APPROX")
       })
       out += {
         if (spec.n > ExpConfig.hubPprOnlineMaxN) oot("HubPPR")
         else {
-          val m = hubPprModel(spark, spec).value
+          val m = hubPprModel(spec).value
           val rng = new scala.util.Random(7)
           stats("HubPPR", seeds.take(ExpConfig.hubPprSeeds),
                 note = s"${ExpConfig.hubPprSeeds} seeds") { s =>
@@ -81,24 +80,24 @@ object Experiments {
   // ---- Table II ----
 
   /** Table II: realized analog statistics next to the paper's graphs. */
-  def tableII(spark: SparkSession): String = {
+  def tableII(): String = {
     val rows = Datasets.all.map { spec =>
-      val m = Datasets.edges(spark, spec).count()
-      Seq(spec.name, spec.n.toString, m.toString,
+      val g = Datasets.local(spec)
+      Seq(spec.name, g.n.toString, g.m.toString,
           spec.paperNodes.toString, spec.paperEdges.toString,
-          spec.s.toString, spec.t.toString)
+          spec.s.toString, spec.t.toString, g.fingerprint)
     }
-    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T"), rows)
+    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T", "fingerprint"), rows)
   }
 
   // ---- Figure 1(a): preprocessing time ----
 
-  def fig1aPreprocess(spark: SparkSession): String = {
+  def fig1aPreprocess(): String = {
     val rows = Datasets.all.map { spec =>
-      val tpa = tpaModel(spark, spec)
-      val nb = nbLinModel(spark, spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
-      val bear = bearModel(spark, spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
-      val hub = fmtMs(hubPprModel(spark, spec).ms)
+      val tpa = tpaModel(spec)
+      val nb = nbLinModel(spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
+      val bear = bearModel(spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
+      val hub = fmtMs(hubPprModel(spec).ms)
       Seq(spec.name, fmtMs(tpa.ms), nb, bear, hub)
     }
     table(Seq("dataset", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"), rows)
@@ -106,35 +105,33 @@ object Experiments {
 
   // ---- Figure 1(b)/(c), Figure 4: online time / L1 / Spearman ----
 
-  private def onlineTable(spark: SparkSession, col: MethodStats => String,
-                          metric: String): String = {
+  private def onlineTable(col: MethodStats => String, metric: String): String = {
     val methods = Seq("TPA", "RPPR", "BRPPR", "NB-LIN", "BEAR-APPROX", "HubPPR")
     val rows = Datasets.all.map { spec =>
-      val st = onlineStats(spark, spec).map(s => s.method -> s).toMap
+      val st = onlineStats(spec).map(s => s.method -> s).toMap
       spec.name +: methods.map(m => if (st(m).available) col(st(m)) else "OOT")
     }
     table(s"dataset ($metric)" +: methods, rows.map(_.toSeq))
   }
 
-  def fig1bOnline(spark: SparkSession): String =
-    onlineTable(spark, s => fmtMs(s.avgMs), "online time")
+  def fig1bOnline(): String =
+    onlineTable(s => fmtMs(s.avgMs), "online time")
 
-  def fig1cL1(spark: SparkSession): String =
-    onlineTable(spark, s => fmtSci(s.avgL1), "L1 error")
+  def fig1cL1(): String =
+    onlineTable(s => fmtSci(s.avgL1), "L1 error")
 
-  def fig4Spearman(spark: SparkSession): String =
-    onlineTable(spark, s => f"${s.avgSpearman}%.4f", "Spearman")
+  def fig4Spearman(): String =
+    onlineTable(s => f"${s.avgSpearman}%.4f", "Spearman")
 
   // ---- Figure 3: preprocessed-data memory ----
 
-  def fig3Memory(spark: SparkSession): String = {
+  def fig3Memory(): String = {
     val rows = Datasets.all.map { spec =>
-      val m = Datasets.edges(spark, spec).count()
-      val graphBytes = 8L * m // shared input (CSR edges), charged to all
-      val tpa = fmtBytes(tpaModel(spark, spec).value.memoryBytes)
-      val nb = nbLinModel(spark, spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
-      val bear = bearModel(spark, spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
-      val hub = fmtBytes(hubPprModel(spark, spec).value.memoryBytes)
+      val graphBytes = 8L * Datasets.local(spec).m // shared input (CSR edges), charged to all
+      val tpa = fmtBytes(tpaModel(spec).value.memoryBytes)
+      val nb = nbLinModel(spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
+      val bear = bearModel(spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
+      val hub = fmtBytes(hubPprModel(spec).value.memoryBytes)
       Seq(spec.name, fmtBytes(graphBytes), tpa, nb, bear, hub)
     }
     table(Seq("dataset", "(graph)", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"), rows)
@@ -142,9 +139,9 @@ object Experiments {
 
   // ---- Figure 5: stranger approximation effectiveness (TPA vs TPA-NA) ----
 
-  def fig5Stranger(spark: SparkSession): String = {
+  def fig5Stranger(): String = {
     val rows = Datasets.all.map { spec =>
-      val st = onlineStats(spark, spec).map(s => s.method -> s).toMap
+      val st = onlineStats(spec).map(s => s.method -> s).toMap
       Seq(spec.name,
           fmtSci(st("TPA").avgL1), fmtSci(st("TPA-NA").avgL1),
           f"${st("TPA").avgSpearman}%.4f", f"${st("TPA-NA").avgSpearman}%.4f")
@@ -160,10 +157,10 @@ object Experiments {
   final case class Fig6Row(dataset: String, l1Real: Double, l1Random: Double,
                            spearmanReal: Double, spearmanRandom: Double)
 
-  def fig6Neighbor(spark: SparkSession): Seq[Fig6Row] =
+  def fig6Neighbor(): Seq[Fig6Row] =
     Datasets.all.map { spec =>
-      val gReal = Datasets.local(spark, spec)
-      val gRand = Datasets.randomCounterpartLocal(spark, spec)
+      val gReal = Datasets.local(spec)
+      val gRand = Datasets.randomCounterpartLocal(spec)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       def run(g: LocalGraph, cached: Boolean): (Double, Double) = {
         val pairs = seeds.map { s =>
@@ -189,14 +186,14 @@ object Experiments {
   /** TPA's mean online time and L1 error at one S, with T = 10. */
   final case class Fig7Row(dataset: String, s: Int, onlineMs: Double, l1: Double)
 
-  def fig7SSweep(spark: SparkSession): Seq[Fig7Row] = {
+  def fig7SSweep(): Seq[Fig7Row] = {
     val tFixed = 10
     for {
       spec <- Seq(Datasets.livejournal, Datasets.pokec)
-      g = Datasets.local(spark, spec)
+      g = Datasets.local(spec)
       // Reuse the registry stranger vector only when it was built with T=10.
       model = if (spec.t == tFixed)
-                Tpa.Model(tpaModel(spark, spec).value.stranger, ExpConfig.c, tFixed)
+                Tpa.Model(tpaModel(spec).value.stranger, ExpConfig.c, tFixed)
               else Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tFixed)
       sVal <- 1 to 8
     } yield {
@@ -222,9 +219,9 @@ object Experiments {
     * The analogs mix too fast for the small-T penalty to show; the SBM
     * has the locality behind the paper's full U-shape (EXPERIMENTS.md).
     */
-  def fig8TSweep(spark: SparkSession): Seq[Fig8Row] = {
+  def fig8TSweep(): Seq[Fig8Row] = {
     val analogs = Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
-      val g = Datasets.local(spark, spec)
+      val g = Datasets.local(spec)
       tSweep(spec.name, g, Datasets.seedNodes(spec, ExpConfig.numSeeds), exact(g, spec, _))
     }
     val sbm = GraphGen.communities(4096, 32, 40000, 0.95, 77)

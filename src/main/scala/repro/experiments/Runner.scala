@@ -1,6 +1,5 @@
 package repro.experiments
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{LocalCpi, Tpa}
 import repro.graph.{Datasets, DatasetSpec, LocalGraph}
 import repro.baselines.{BearApprox, HubPpr, NbLin}
@@ -58,37 +57,37 @@ object Runner {
     LocalCpi.rwr(g, seed, ExpConfig.c, ExpConfig.eps)
 
   /** TPA preprocessing (timed, cached per dataset). */
-  def tpaModel(spark: SparkSession, spec: DatasetSpec): Timed[Tpa.Model] =
+  def tpaModel(spec: DatasetSpec): Timed[Tpa.Model] =
     tpaCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spark, spec)
+      val g = Datasets.local(spec)
       time(Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, spec.t))
     })
 
   /** NB-LIN preprocessing; None when gated out (OOT in the paper). */
-  def nbLinModel(spark: SparkSession, spec: DatasetSpec): Option[Timed[NbLin.Model]] =
+  def nbLinModel(spec: DatasetSpec): Option[Timed[NbLin.Model]] =
     nbLinCache.getOrElseUpdate(spec.name, {
       if (spec.n > ExpConfig.nbLinMaxN) None
       else {
-        val g = Datasets.local(spark, spec)
+        val g = Datasets.local(spec)
         Some(time(NbLin.preprocess(g, ExpConfig.c, ExpConfig.nbLinRank)))
       }
     })
 
   /** BEAR-APPROX preprocessing; None when gated out (OOT in the paper). */
-  def bearModel(spark: SparkSession, spec: DatasetSpec): Option[Timed[BearApprox.Model]] =
+  def bearModel(spec: DatasetSpec): Option[Timed[BearApprox.Model]] =
     bearCache.getOrElseUpdate(spec.name, {
       if (spec.n > ExpConfig.bearMaxN) None
       else {
-        val g = Datasets.local(spark, spec)
+        val g = Datasets.local(spec)
         val dropTol = 1.0 / math.sqrt(spec.n.toDouble)
         Some(time(BearApprox.preprocess(g, ExpConfig.c, ExpConfig.bearHubFrac, dropTol)))
       }
     })
 
   /** HubPPR hub-index preprocessing (timed, cached per dataset). */
-  def hubPprModel(spark: SparkSession, spec: DatasetSpec): Timed[HubPpr.Model] =
+  def hubPprModel(spec: DatasetSpec): Timed[HubPpr.Model] =
     hubCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spark, spec)
+      val g = Datasets.local(spec)
       time(HubPpr.preprocess(g, ExpConfig.c, ExpConfig.hubPprRmax, ExpConfig.hubPprHubs))
     })
 }

@@ -24,19 +24,20 @@ object SparkScale {
   final case class Row(engine: String, prepMs: Double, onlineMs: Double,
                        l1: Double, spearman: Double)
 
-  /** Both engines on `spec` through [[TpaSpark]], DataFrame first. Every
-    * DataFrame and graph it caches is released before it returns, also on
-    * failure.
+  /** Both engines on `spec` through [[TpaSpark]], DataFrame first, over
+    * the edges of the driver graph [[Datasets.local]]. Every DataFrame and
+    * graph it caches is released before it returns, also on failure.
     */
   def run(spark: SparkSession, spec: DatasetSpec): Seq[Row] = {
     val c = ExpConfig.c; val eps = ExpConfig.eps
     val release = mutable.ArrayBuffer.empty[() => Unit]
     try {
-      val edges = Datasets.edges(spark, spec)
+      val g = Datasets.local(spec)
+      val edges = GraphGen.edgeFrame(spark, g).persist()
+      release += (() => edges.unpersist())
       val norm = GraphGen.normalize(edges).persist()
       release += (() => norm.unpersist())
       norm.count()
-      val g = Datasets.local(spark, spec)
       val seed = Datasets.seedNodes(spec, 1).head
       val ex = exact(g, spec, seed)
 

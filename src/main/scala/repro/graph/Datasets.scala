@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Registry of the paper's 7 evaluation graphs (Table II) and their
   * scaled-down synthetic analogs (see DESIGN.md §4 for the substitution
   * rationale). Each analog is an RMAT graph keeping the original's edge
@@ -39,42 +37,20 @@ object Datasets {
   val all: Seq[DatasetSpec] =
     Seq(slashdot, google, pokec, livejournal, wikilink, twitter, friendster)
 
-  private val dfCache = scala.collection.mutable.Map.empty[String, DataFrame]
-  private val localCache = scala.collection.mutable.Map.empty[String, LocalGraph]
+  private val cache = scala.collection.mutable.Map.empty[String, LocalGraph]
 
-  /** Edge DataFrame of a dataset analog (dangling-patched), cached and
-    * persisted for the lifetime of the SparkSession.
-    */
-  def edges(spark: SparkSession, spec: DatasetSpec): DataFrame = synchronized {
-    dfCache.getOrElseUpdate(spec.name, {
-      val df = GraphGen.rmatGraph(spark, spec.scale, spec.mTarget, spec.seed)
-      df.persist()
-      df.count() // materialize once so later uses are stable & fast
-      df
-    })
-  }
-
-  /** Driver-side CSR of a dataset analog, cached. */
-  def local(spark: SparkSession, spec: DatasetSpec): LocalGraph = synchronized {
-    localCache.getOrElseUpdate(spec.name, LocalGraph.fromDF(edges(spark, spec), spec.n))
+  /** Driver-side CSR of a dataset analog (dangling-patched), cached. */
+  def local(spec: DatasetSpec): LocalGraph = synchronized {
+    cache.getOrElseUpdate(spec.name, GraphGen.rmat(spec.scale, spec.mTarget, spec.seed))
   }
 
   /** Erdős–Rényi counterpart with (approximately) the same n and m as the
-    * analog's realized edge count — the Figure 6 "random graph".
+    * analog — the Figure 6 "random graph" — cached.
     */
-  def randomCounterpart(spark: SparkSession, spec: DatasetSpec): DataFrame = synchronized {
-    dfCache.getOrElseUpdate(spec.name + "-er", {
-      val m = edges(spark, spec).count()
-      // ER dedup loses a few draws; oversample 2% to land near m.
-      val df = GraphGen.erGraph(spark, spec.n.toLong, (m * 1.02).toLong, spec.seed + 5000)
-      df.persist(); df.count(); df
-    })
-  }
-
-  /** CSR of the random counterpart. */
-  def randomCounterpartLocal(spark: SparkSession, spec: DatasetSpec): LocalGraph = synchronized {
-    localCache.getOrElseUpdate(spec.name + "-er",
-      LocalGraph.fromDF(randomCounterpart(spark, spec), spec.n))
+  def randomCounterpartLocal(spec: DatasetSpec): LocalGraph = synchronized {
+    val m = local(spec).m
+    // ER dedup loses a few draws; oversample 2% to land near m.
+    cache.getOrElseUpdate(spec.name + "-er", GraphGen.erdosRenyi(spec.n, (m * 1.02).toLong, spec.seed + 5000))
   }
 
   /** Deterministic sample of `k` seed nodes for a dataset (every node has

@@ -2,101 +2,113 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
 
 import scala.collection.mutable
 import scala.util.Random
 
-/** Synthetic graph generators, expressed as Spark DataFrame jobs, plus
-  * a driver-side SBM ([[communities]]) for graphs built without Spark.
+/** Synthetic graph generators, on the driver, plus the two bridges to
+  * Spark: a graph's (`src`, `dst`) edge DataFrame and its row-normalized
+  * weights.
   *
-  * All generators emit a directed edge list with columns `src`, `dst`
-  * (LongType, node ids in `[0, n)`), deduplicated and free of
-  * self-loops. They are deterministic in their `seed` so the DuckDB
-  * oracle and the local CSR build see identical edges.
-  *
-  * RMAT (Chakrabarti et al.) is the stand-in for the paper's real
-  * social/hyperlink graphs: power-law degrees plus hierarchical
-  * block (community-like) structure — the property TPA's neighbor
-  * approximation exploits. Erdős–Rényi is the "random graph with the
-  * same number of nodes and edges" of the paper's Figure 6. SBM gives
-  * explicit planted communities for targeted tests.
+  * RMAT (Chakrabarti et al., SDM'04) is the stand-in for the paper's real
+  * social/hyperlink graphs: power-law degrees plus hierarchical block
+  * (community-like) structure — the property TPA's neighbor approximation
+  * exploits. Erdős–Rényi is the "random graph with the same number of
+  * nodes and edges" of the paper's Figure 6. Both draw edge e from the
+  * SplitMix64 hash of (seed, e), so a graph is a pure function of its
+  * arguments: the same on every machine and core count. The SBM
+  * ([[communities]]) gives explicit planted communities.
   */
 object GraphGen {
 
-  /** Default RMAT quadrant probabilities (standard social-graph setting). */
-  val RmatA = 0.57; val RmatB = 0.19; val RmatC = 0.19; val RmatD = 0.05
+  /** RMAT quadrant probabilities (standard social-graph setting); d = 1 − a − b − c. */
+  private val A = 0.57; private val B = 0.19; private val C = 0.19
 
-  /** R-MAT graph over `n = 2^scale` nodes with ~`mTarget` distinct edges.
-    *
-    * Each of `mTarget` edge draws picks one quadrant per bit level:
-    * a→(0,0), b→(0,1), c→(1,0), d→(1,1). Duplicates and self-loops are
-    * removed, so the realized edge count is slightly below `mTarget`.
+  /** SplitMix64 finalizer (Steele et al., OOPSLA'14). */
+  def mix64(x: Long): Long = {
+    var z = x + 0x9E3779B97F4A7C15L
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    z ^ (z >>> 31)
+  }
+
+  /** The top 53 bits of `h` as a double in [0, 1). */
+  private def unit(h: Long): Double = (h >>> 11) * (1.0 / (1L << 53))
+
+  /** R-MAT graph over `n = 2^scale` nodes from `mTarget` edge draws. Each
+    * draw picks one quadrant per bit level — a→(0,0), b→(0,1), c→(1,0),
+    * d→(1,1) — from the hash of (its edge hash, level). Dangling nodes
+    * are patched as in [[fromDraws]], so the realized edge count is
+    * near, not at, `mTarget`.
     */
-  def rmat(spark: SparkSession, scale: Int, mTarget: Long, seed: Long,
-           a: Double = RmatA, b: Double = RmatB, c: Double = RmatC): DataFrame = {
+  def rmat(scale: Int, mTarget: Long, seed: Long): LocalGraph = {
     require(scale >= 1 && scale <= 30, s"scale out of range: $scale")
-    require(a + b + c < 1.0, "quadrant probabilities must leave room for d")
-    var df = spark.range(mTarget)
-      .select(lit(0L).as("src"), lit(0L).as("dst"))
-    for (level <- 0 until scale) {
-      // Materialize the draw once per level so src and dst read the same value.
-      df = df
-        .withColumn("u", rand(seed * 7919 + level))
-        .select(
-          (col("src") * 2 + when(col("u") < a + b, 0L).otherwise(1L)).as("src"),
-          (col("dst") * 2 + when(col("u") < a ||
-            (col("u") >= a + b && col("u") < a + b + c), 0L).otherwise(1L)).as("dst"))
+    require(A + B + C < 1.0, "quadrant probabilities must leave room for d")
+    fromDraws(1 << scale, mTarget, seed) { h =>
+      var s = 0L; var d = 0L; var level = 0
+      while (level < scale) {
+        val u = unit(mix64(h + level))
+        s = s * 2 + (if (u < A + B) 0 else 1)
+        d = d * 2 + (if (u < A || (u >= A + B && u < A + B + C)) 0 else 1)
+        level += 1
+      }
+      (s, d)
     }
-    df.filter(col("src") =!= col("dst")).distinct()
   }
 
-  /** Erdős–Rényi digraph: `mTarget` uniform draws over `[0,n)²`, deduped,
-    * self-loops removed. The Figure 6 "random graph" comparator.
+  /** Erdős–Rényi digraph over `n` nodes: `mTarget` uniform draws over
+    * [0, n)², patched as in [[fromDraws]]. The Figure 6 "random graph".
     */
-  def erdosRenyi(spark: SparkSession, n: Long, mTarget: Long, seed: Long): DataFrame = {
-    spark.range(mTarget)
-      .select(
-        (rand(seed) * n).cast(LongType).as("src"),
-        (rand(seed + 1) * n).cast(LongType).as("dst"))
-      .filter(col("src") =!= col("dst"))
-      .distinct()
+  def erdosRenyi(n: Int, mTarget: Long, seed: Long): LocalGraph =
+    fromDraws(n, mTarget, seed)(h => ((unit(mix64(h)) * n).toLong, (unit(mix64(h + 1)) * n).toLong))
+
+  /** CSR over `n` nodes of the edges `draw(mix64(mix64(seed) ^ mix64(e)))`
+    * for e in [0, `mTarget`): self-loops dropped, duplicates removed by
+    * sorting the keys s·n + d, then every node without an out-edge gets
+    * the edge u → (u+1) mod n, so Ã^T is column-stochastic and the paper's
+    * norm lemmas (`‖x^(i)‖₁ = c(1-c)^i`) hold exactly.
+    */
+  private def fromDraws(n: Int, mTarget: Long, seed: Long)(draw: Long => (Long, Long)): LocalGraph = {
+    require(mTarget >= 0 && mTarget + n < Int.MaxValue, s"cannot hold $mTarget edges over $n nodes")
+    val keys = new Array[Long]((mTarget + n).toInt)
+    val seedHash = mix64(seed)
+    var k = 0
+    var e = 0L
+    while (e < mTarget) {
+      val (s, d) = draw(mix64(seedHash ^ mix64(e)))
+      if (s != d) { keys(k) = s * n + d; k += 1 }
+      e += 1
+    }
+    java.util.Arrays.sort(keys, 0, k)
+    var m = 0
+    var i = 0
+    while (i < k) {
+      if (m == 0 || keys(i) != keys(m - 1)) { keys(m) = keys(i); m += 1 }
+      i += 1
+    }
+    val hasOut = new Array[Boolean](n)
+    i = 0
+    while (i < m) { hasOut((keys(i) / n).toInt) = true; i += 1 }
+    var u = 0
+    while (u < n) {
+      if (!hasOut(u)) { keys(m) = u.toLong * n + (u + 1) % n; m += 1 }
+      u += 1
+    }
+    val src = new Array[Int](m)
+    val dst = new Array[Int](m)
+    i = 0
+    while (i < m) { src(i) = (keys(i) / n).toInt; dst(i) = (keys(i) % n).toInt; i += 1 }
+    LocalGraph.fromEdges(n, src, dst)
   }
 
-  /** Stochastic block model: `n` nodes in `k` equal blocks; each of the
-    * `mTarget` edge draws stays inside the source's block with
-    * probability `pIn`, otherwise lands uniformly anywhere.
+  /** The edges of `g` as a (`src`, `dst`) DataFrame of longs, over the
+    * default parallelism: the input of the Spark engines.
     */
-  def sbm(spark: SparkSession, n: Long, k: Int, mTarget: Long,
-          pIn: Double, seed: Long): DataFrame = {
-    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
-    val blockSize = n / k
-    spark.range(mTarget)
-      .select(
-        (rand(seed) * n).cast(LongType).as("src"),
-        rand(seed + 1).as("inBlock"),
-        rand(seed + 2).as("u"))
-      .select(
-        col("src"),
-        when(col("inBlock") < pIn,
-          (col("src") - (col("src") % blockSize)) + (col("u") * blockSize).cast(LongType))
-          .otherwise((col("u") * n).cast(LongType))
-          .as("dst"))
-      .filter(col("src") =!= col("dst"))
-      .distinct()
-  }
-
-  /** Patch dangling nodes (out-degree 0) with a single edge to their
-    * successor `(u+1) mod n`, making the transition matrix column
-    * stochastic so the paper's norm lemmas (`‖x^(i)‖₁ = c(1-c)^i`) hold
-    * exactly. Documented substitution: real KONECT graphs have dangling
-    * nodes; the paper's analysis implicitly assumes none.
-    */
-  def fixDangling(spark: SparkSession, edges: DataFrame, n: Long): DataFrame = {
-    val dangling = spark.range(n).toDF("src")
-      .join(edges.select("src").distinct(), Seq("src"), "left_anti")
-    edges.unionByName(
-      dangling.select(col("src"), ((col("src") + 1) % n).as("dst")))
+  def edgeFrame(spark: SparkSession, g: LocalGraph): DataFrame = {
+    import spark.implicits._
+    val pairs = for (u <- 0 until g.n; k <- g.offsets(u) until g.offsets(u + 1))
+      yield (u.toLong, g.targets(k).toLong)
+    spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism).toDF("src", "dst")
   }
 
   /** Row-normalized weights: each edge (src, dst) gets `w = 1/outdeg(src)`,
@@ -108,17 +120,7 @@ object GraphGen {
       .select(col("src"), col("dst"), (lit(1.0) / col("outdeg")).as("w"))
   }
 
-  /** Convenience: generate an RMAT graph, patch dangling nodes, return
-    * raw edges (use [[normalize]] for weighted edges).
-    */
-  def rmatGraph(spark: SparkSession, scale: Int, mTarget: Long, seed: Long): DataFrame =
-    fixDangling(spark, rmat(spark, scale, mTarget, seed), 1L << scale)
-
-  /** Convenience: Erdős–Rényi with dangling patch. */
-  def erGraph(spark: SparkSession, n: Long, mTarget: Long, seed: Long): DataFrame =
-    fixDangling(spark, erdosRenyi(spark, n, mTarget, seed), n)
-
-  // ---- driver-side generators (scala.util.Random, no Spark) ----
+  // ---- stochastic block model (scala.util.Random) ----
 
   /** Driver-side stochastic block model: `k` equal blocks; each of `m`
     * draws stays inside the source's block with probability `pIn`.
@@ -150,8 +152,7 @@ object GraphGen {
   }
 
   /** CSR over `n` nodes of `pairs` plus, for every node u < `patchBelow`
-    * without an out-edge, the edge u → (u+1) mod `patchBelow` — the
-    * driver-side [[fixDangling]].
+    * without an out-edge, the edge u → (u+1) mod `patchBelow`.
     */
   private[repro] def localPatched(n: Int, pairs: Seq[(Int, Int)], patchBelow: Int): LocalGraph = {
     val has = new Array[Boolean](patchBelow)

@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
-
 /** Immutable CSR (compressed sparse row) digraph on the driver.
   *
   * Substrate for the sequential competitors (RPPR/BRPPR push, HubPPR
@@ -9,7 +7,8 @@ import org.apache.spark.sql.DataFrame
   * ground-truth RWR (`LocalCpi`) — all of which are inherently
   * single-machine algorithms in their original papers (C++/MATLAB on
   * one core). The distributed paths (`Cpi`, `CpiGraphX`, `TpaSpark`)
-  * never collect the graph.
+  * read its edges as a DataFrame ([[GraphGen.edgeFrame]]) and never
+  * collect the graph.
   *
   * `offsets` has length n+1; out-neighbors of `u` are
   * `targets(offsets(u) until offsets(u+1))`.
@@ -39,6 +38,17 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
 
   /** In-degree of node `u` (via the reverse graph). */
   def inDeg(u: Int): Int = reverse.outDeg(u)
+
+  /** `n=… m=… edge_hash=…`, where the edge hash Σ mix64(s·n + d) over the
+    * edges ([[GraphGen.mix64]]) does not depend on their order, so the same
+    * edge set gives the same fingerprint however it was built or split.
+    */
+  def fingerprint: String = {
+    var hash = 0L
+    var u = 0
+    while (u < n) { foreachOut(u)(v => hash += GraphGen.mix64(u.toLong * n + v)); u += 1 }
+    f"n=$n m=$m edge_hash=$hash%016x"
+  }
 }
 
 object LocalGraph {
@@ -90,19 +100,5 @@ object LocalGraph {
       u += 1
     }
     new LocalGraph(n, inOffsets, sources)
-  }
-
-  /** Collect a `(src, dst)` edge DataFrame into a CSR graph with `n` nodes. */
-  def fromDF(edges: DataFrame, n: Int): LocalGraph = {
-    val rows = edges.select("src", "dst").collect()
-    val src = new Array[Int](rows.length)
-    val dst = new Array[Int](rows.length)
-    var i = 0
-    while (i < rows.length) {
-      src(i) = rows(i).getLong(0).toInt
-      dst(i) = rows(i).getLong(1).toInt
-      i += 1
-    }
-    fromEdges(n, src, dst)
   }
 }

@@ -15,9 +15,9 @@ class CpiSparkSpec extends SparkSpec {
   import CpiEngine.{Node, Uniform}
   val c = 0.15
 
-  private lazy val edges = GraphGen.rmatGraph(spark, 7, 600, 17).cache()
+  private lazy val g: LocalGraph = GraphGen.rmat(7, 600, 17)
+  private lazy val edges = GraphGen.edgeFrame(spark, g).cache()
   private lazy val norm = GraphGen.normalize(edges).cache()
-  private lazy val g: LocalGraph = LocalGraph.fromDF(edges, 128)
   private lazy val graphx = CpiGraphX.build(spark, edges).cache()
 
   private val engineNames = Seq("DataFrame", "GraphX")
@@ -29,9 +29,7 @@ class CpiSparkSpec extends SparkSpec {
     */
   private lazy val dg = TestGraphs.withDangling(100, 500, 3)
   private lazy val danglingEngines = {
-    val pairs = for (u <- 0 until dg.n; k <- dg.offsets(u) until dg.offsets(u + 1))
-      yield (u.toLong, dg.targets(k).toLong)
-    val edges = spark.createDataFrame(pairs).toDF("src", "dst").cache()
+    val edges = GraphGen.edgeFrame(spark, dg).cache()
     Map("DataFrame" -> Cpi.engine(spark, GraphGen.normalize(edges).cache()),
         "GraphX" -> CpiGraphX.engine(spark, CpiGraphX.build(spark, edges).cache()))
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.graph.GraphGen
 
 /** DuckDB oracle checks for the relational building blocks of CPI/TPA:
@@ -13,7 +13,7 @@ class OracleSpec extends SparkSpec {
   import spark.implicits._
   val c = 0.15
 
-  private lazy val edges = GraphGen.rmatGraph(spark, 7, 600, 23).cache()
+  private lazy val edges = GraphGen.edgeFrame(spark, GraphGen.rmat(7, 600, 23)).cache()
   private lazy val norm = GraphGen.normalize(edges).cache()
 
   test("oracle: out-degree normalization weights") {
@@ -114,13 +114,14 @@ class OracleSpec extends SparkSpec {
   }
 
   test("oracle: dangling detection anti-join") {
-    val raw = GraphGen.rmat(spark, 7, 600, 23)
-    val dangling = spark.range(128).toDF("id")
+    val raw = GraphGen.edgeFrame(spark, TestGraphs.withDangling(100, 500, 3))
+    val dangling = spark.range(100).toDF("id")
       .join(raw.select(col("src").as("id")).distinct(), Seq("id"), "left_anti")
+    assert(dangling.collect().map(_.getLong(0)).toSeq == Seq(99L))
     Oracle.assertEquivalent(
       dangling,
       """SELECT r.id AS id FROM rng r
         |WHERE NOT EXISTS (SELECT 1 FROM edges e WHERE e.src = r.id)""".stripMargin,
-      "rng" -> spark.range(128).toDF("id"), "edges" -> raw)
+      "rng" -> spark.range(100).toDF("id"), "edges" -> raw)
   }
 }

@@ -4,43 +4,47 @@ import org.apache.spark.sql.functions._
 import repro.{SparkSpec, TestGraphs}
 
 /** Generator invariants: determinism, id ranges, dedup, dangling patch,
-  * normalization, and the structural differences (skew, blocks) that the
-  * Figure 6 experiment relies on.
+  * normalization, the structural differences (skew, blocks) that the
+  * Figure 6 experiment relies on, and the pinned fingerprints of the
+  * dataset analogs.
   */
 class GraphGenSpec extends SparkSpec {
+  import GraphGenSpec._
 
-  private lazy val rmatE = GraphGen.rmat(spark, 8, 1500, 7).cache()
-  private lazy val erE = GraphGen.erdosRenyi(spark, 256, 1500, 7).cache()
-  private lazy val sbmE = GraphGen.sbm(spark, 256, 8, 1500, 0.9, 7).cache()
+  private lazy val rmatG = GraphGen.rmat(8, 1500, 7)
+  private lazy val erG = GraphGen.erdosRenyi(256, 1500, 7)
+  private lazy val sbmG = GraphGen.communities(256, 8, 1500, 0.9, 7)
 
-  for ((name, df) <- Seq("rmat" -> (() => rmatE), "er" -> (() => erE),
-                         "sbm" -> (() => sbmE))) {
+  private def edges(g: LocalGraph): Seq[(Int, Int)] =
+    for (u <- 0 until g.n; k <- g.offsets(u) until g.offsets(u + 1)) yield (u, g.targets(k))
+
+  for ((name, g) <- Seq("rmat" -> (() => rmatG), "er" -> (() => erG), "sbm" -> (() => sbmG))) {
     test(s"$name: node ids lie in [0, n)") {
-      val mm = df().agg(min("src"), max("src"), min("dst"), max("dst")).first()
-      assert(mm.getLong(0) >= 0 && mm.getLong(1) < 256)
-      assert(mm.getLong(2) >= 0 && mm.getLong(3) < 256)
+      assert(g().n == 256 && edges(g()).forall { case (_, v) => v >= 0 && v < 256 })
     }
     test(s"$name: no self-loops") {
-      assert(df().filter(col("src") === col("dst")).count() == 0)
+      assert(edges(g()).forall { case (u, v) => u != v })
     }
     test(s"$name: edges are distinct") {
-      assert(df().count() == df().distinct().count())
+      assert(edges(g()).distinct.size == g().m)
     }
     test(s"$name: realized edge count is near the target") {
-      val m = df().count()
+      val m = g().m
       assert(m <= 1500 && m > 1000, s"m=$m")
+    }
+    test(s"$name: every node has an out-edge") {
+      assert((0 until 256).forall(g().outDeg(_) >= 1))
     }
   }
 
   test("rmat is deterministic in its seed") {
-    val again = GraphGen.rmat(spark, 8, 1500, 7)
-    assert(rmatE.exceptAll(again).count() == 0 &&
-           again.exceptAll(rmatE).count() == 0)
+    val again = GraphGen.rmat(8, 1500, 7)
+    assert(java.util.Arrays.equals(again.offsets, rmatG.offsets) &&
+           java.util.Arrays.equals(again.targets, rmatG.targets))
   }
 
   test("different seeds give different graphs") {
-    val other = GraphGen.rmat(spark, 8, 1500, 8)
-    assert(rmatE.exceptAll(other).count() > 0)
+    assert(edges(rmatG).diff(edges(GraphGen.rmat(8, 1500, 8))).nonEmpty)
   }
 
   // n, m and java.util.Arrays.hashCode of offsets and targets, recorded
@@ -61,79 +65,67 @@ class GraphGenSpec extends SparkSpec {
               java.util.Arrays.hashCode(gr.targets)) == fp)
     }
 
-  test("fixDangling leaves no node without out-edges") {
-    val fixed = GraphGen.fixDangling(spark, rmatE, 256)
-    val withOut = fixed.select("src").distinct().count()
-    assert(withOut == 256)
+  for (spec <- Datasets.all) {
+    test(s"${spec.name} analog matches its pinned fingerprint") {
+      assert(Datasets.local(spec).fingerprint == analogFingerprints(spec.name))
+    }
+    test(s"${spec.name} random counterpart matches its pinned fingerprint") {
+      assert(Datasets.randomCounterpartLocal(spec).fingerprint == counterpartFingerprints(spec.name))
+    }
   }
 
-  test("fixDangling is a no-op when nothing dangles") {
-    val fixed = GraphGen.fixDangling(spark, rmatE, 256)
-    val fixedTwice = GraphGen.fixDangling(spark, fixed, 256)
-    assert(fixedTwice.count() == fixed.count())
+  test("the edge DataFrame of slashdot-s has the driver fingerprint on 1, 3 and 8 partitions") {
+    val g = Datasets.local(Datasets.slashdot)
+    val df = GraphGen.edgeFrame(spark, g)
+    for (k <- Seq(1, 3, 8)) {
+      val rows = df.repartition(k).collect()
+      val back = LocalGraph.fromEdges(g.n, rows.map(_.getLong(0).toInt), rows.map(_.getLong(1).toInt))
+      assert(back.fingerprint == analogFingerprints("slashdot-s"), s"on $k partitions")
+    }
   }
+
+  private lazy val rmatDF = GraphGen.edgeFrame(spark, rmatG).cache()
 
   test("normalize: per-source weights sum to 1") {
-    val norm = GraphGen.normalize(GraphGen.fixDangling(spark, rmatE, 256))
-    val bad = norm.groupBy("src").agg(sum("w").as("s"))
+    val bad = GraphGen.normalize(rmatDF).groupBy("src").agg(sum("w").as("s"))
       .filter(abs(col("s") - 1.0) > 1e-9).count()
     assert(bad == 0)
   }
 
   test("normalize: weight is 1/outdeg on each edge") {
-    val fixed = GraphGen.fixDangling(spark, rmatE, 256)
-    val norm = GraphGen.normalize(fixed)
-    val deg = fixed.groupBy("src").count()
-    val bad = norm.join(deg, "src")
-      .filter(abs(col("w") * col("count") - 1.0) > 1e-9).count()
+    val bad = GraphGen.normalize(rmatDF).collect()
+      .count(r => math.abs(r.getDouble(2) * rmatG.outDeg(r.getLong(0).toInt) - 1.0) > 1e-9)
     assert(bad == 0)
   }
 
+  private def maxInDeg(g: LocalGraph): Int = (0 until g.n).map(g.inDeg).max
+  private def withinBlocks(g: LocalGraph): Double =
+    edges(g).count { case (u, v) => u / 32 == v / 32 }.toDouble / g.m
+
   test("rmat has heavier degree skew than er (power-law proxy)") {
-    def maxInDeg(df: org.apache.spark.sql.DataFrame): Long =
-      df.groupBy("dst").count().agg(max("count")).first().getLong(0)
-    assert(maxInDeg(rmatE) > 2 * maxInDeg(erE))
+    assert(maxInDeg(rmatG) > 2 * maxInDeg(erG))
   }
 
   test("sbm keeps most edges within blocks") {
-    val bs = 256 / 8
-    val within = sbmE.filter((col("src") / bs).cast("long") ===
-                             (col("dst") / bs).cast("long")).count()
-    val total = sbmE.count()
-    assert(within.toDouble / total > 0.6, s"within=$within total=$total")
+    assert(withinBlocks(sbmG) > 0.6, s"within=${withinBlocks(sbmG)}")
   }
 
   test("er spreads edges across blocks") {
-    val bs = 256 / 8
-    val within = erE.filter((col("src") / bs).cast("long") ===
-                            (col("dst") / bs).cast("long")).count()
-    val total = erE.count()
-    assert(within.toDouble / total < 0.3)
-  }
-
-  test("LocalGraph.fromDF preserves edge count and degrees") {
-    val fixed = GraphGen.fixDangling(spark, rmatE, 256)
-    val g = LocalGraph.fromDF(fixed, 256)
-    assert(g.m == fixed.count())
-    val sparkDeg = fixed.groupBy("src").count().collect()
-      .map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
-    for (u <- 0 until 256)
-      assert(g.outDeg(u) == sparkDeg.getOrElse(u, 0))
+    assert(withinBlocks(erG) < 0.3)
   }
 
   test("dataset registry analogs materialize with expected density") {
     val spec = Datasets.slashdot
-    val m = Datasets.edges(spark, spec).count()
-    assert(m > spec.mTarget * 0.7 && m <= spec.mTarget + spec.n)
-    val g = Datasets.local(spark, spec)
-    assert(g.n == spec.n && g.m == m)
+    val g = Datasets.local(spec)
+    assert(g.m > spec.mTarget * 0.7 && g.m <= spec.mTarget + spec.n)
+    assert(g.n == spec.n)
     assert((0 until g.n).forall(g.outDeg(_) >= 1)) // dangling-patched
   }
 
   test("random counterpart has approximately the same m as its analog") {
     val spec = Datasets.slashdot
-    val m = Datasets.edges(spark, spec).count()
-    val mEr = Datasets.randomCounterpart(spark, spec).count()
+    val m = Datasets.local(spec).m
+    val mEr = Datasets.randomCounterpartLocal(spec).m
     assert(math.abs(mEr - m).toDouble / m < 0.1)
   }
 
@@ -143,4 +135,29 @@ class GraphGenSpec extends SparkSpec {
     assert(s1 == s2)
     assert(s1.forall(s => s >= 0 && s < Datasets.slashdot.n))
   }
+}
+
+object GraphGenSpec {
+
+  /** Each analog's fingerprint, as `perfbench/src`'s `Inputs.rmat` draws it
+    * with the analog's scale, mTarget and seed.
+    */
+  val analogFingerprints: Map[String, String] = Map(
+    "slashdot-s"    -> "n=1024 m=6086 edge_hash=64dd5a2d09be8a2f",
+    "google-s"      -> "n=2048 m=11238 edge_hash=7f67ec634527493a",
+    "pokec-s"       -> "n=8192 m=130053 edge_hash=793c3390dab840f9",
+    "livejournal-s" -> "n=8192 m=101562 edge_hash=6be4414439d7f7a6",
+    "wikilink-s"    -> "n=16384 m=419961 edge_hash=cc42479bbe9addb5",
+    "twitter-s"     -> "n=32768 m=971823 edge_hash=3728012eaf7fceb1",
+    "friendster-s"  -> "n=32768 m=1033598 edge_hash=376d0357605d8fc5")
+
+  /** Each analog's Erdős–Rényi counterpart's fingerprint (Fig 6). */
+  val counterpartFingerprints: Map[String, String] = Map(
+    "slashdot-s"    -> "n=1024 m=6181 edge_hash=3afb0a3a95c6714b",
+    "google-s"      -> "n=2048 m=11443 edge_hash=b889b8e19df84897",
+    "pokec-s"       -> "n=8192 m=132523 edge_hash=62b0fd292bc4010f",
+    "livejournal-s" -> "n=8192 m=103495 edge_hash=4194d09719720c5b",
+    "wikilink-s"    -> "n=16384 m=427992 edge_hash=9596b05f42214c2d",
+    "twitter-s"     -> "n=32768 m=990783 edge_hash=6343f58fd769e1f5",
+    "friendster-s"  -> "n=32768 m=1053729 edge_hash=6e54ca638fc3868e")
 }

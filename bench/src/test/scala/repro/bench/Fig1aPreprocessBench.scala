@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, ExpConfig, Runner}
+import repro.experiments.Experiments
 import repro.graph.Datasets
 
 /** Figure 1(a): preprocessing time. Paper claims TPA preprocesses up to
@@ -11,20 +11,19 @@ import repro.graph.Datasets
 class Fig1aPreprocessBench extends BenchBase {
 
   test("Fig 1(a): TPA preprocesses everywhere; dense methods only at the bottom") {
-    banner("Fig 1(a): preprocessing time", Experiments.fig1aPreprocess())
-    for (spec <- Datasets.all) {
-      val tpa = Runner.tpaModel(spec)
-      assert(tpa.ms > 0, s"${spec.name}: TPA preprocessing did not run")
+    val rows = Experiments.fig1aPreprocess()
+    banner("Fig 1(a): preprocessing time", Experiments.fig1aTable(rows))
+    for (r <- rows) {
+      assert(r.tpaMs > 0, s"${r.dataset}: TPA preprocessing did not run")
       // TPA is faster than every preprocessing competitor that ran at all
-      Runner.nbLinModel(spec).foreach(nb =>
-        assert(tpa.ms < nb.ms, s"${spec.name}: TPA ${tpa.ms} !< NB-LIN ${nb.ms}"))
-      Runner.bearModel(spec).foreach(bear =>
-        assert(tpa.ms < bear.ms, s"${spec.name}: TPA ${tpa.ms} !< BEAR ${bear.ms}"))
+      r.nbLinMs.foreach(nb => assert(r.tpaMs < nb, s"${r.dataset}: TPA ${r.tpaMs} !< NB-LIN $nb"))
+      r.bearMs.foreach(bear => assert(r.tpaMs < bear, s"${r.dataset}: TPA ${r.tpaMs} !< BEAR $bear"))
     }
     // paper: NB-LIN fails from Pokec onward, BEAR from Google onward
-    assert(Runner.nbLinModel(Datasets.pokec).isEmpty)
-    assert(Runner.bearModel(Datasets.google).isEmpty)
-    assert(Runner.nbLinModel(Datasets.slashdot).nonEmpty)
-    assert(Runner.bearModel(Datasets.slashdot).nonEmpty)
+    val byName = rows.map(r => r.dataset -> r).toMap
+    assert(byName(Datasets.pokec.name).nbLinMs.isEmpty)
+    assert(byName(Datasets.google.name).bearMs.isEmpty)
+    assert(byName(Datasets.slashdot.name).nbLinMs.nonEmpty)
+    assert(byName(Datasets.slashdot.name).bearMs.nonEmpty)
   }
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.experiments.Experiments
-import repro.graph.Datasets
 
 /** Figure 1(b): online (query) time per method. Paper claims TPA is the
   * fastest online method on every dataset (up to 150× on Pokec), with
@@ -10,15 +9,15 @@ import repro.graph.Datasets
 class Fig1bOnlineBench extends BenchBase {
 
   test("Fig 1(b): TPA answers online queries on every dataset") {
-    banner("Fig 1(b): online time", Experiments.fig1bOnline())
-    for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
-      assert(st("TPA").avgMs > 0)
+    val rows = Experiments.online
+    banner("Fig 1(b): online time", Experiments.fig1bTable(rows))
+    for (r <- rows) {
+      val tpa = r.stats("TPA").get
+      assert(tpa.ms > 0)
       // HubPPR full-vector queries, where they run at all, are orders of
       // magnitude slower than TPA (the paper's 10⁴× observation).
-      if (st("HubPPR").available)
-        assert(st("HubPPR").avgMs > 10 * st("TPA").avgMs,
-          s"${spec.name}: HubPPR ${st("HubPPR").avgMs} vs TPA ${st("TPA").avgMs}")
+      r.stats("HubPPR").foreach(hub =>
+        assert(hub.ms > 10 * tpa.ms, s"${r.dataset}: HubPPR ${hub.ms} vs TPA ${tpa.ms}"))
     }
   }
 }

@@ -12,20 +12,21 @@ import repro.graph.Datasets
 class Fig1cAccuracyBench extends BenchBase {
 
   test("Fig 1(c): TPA L1 error obeys the Theorem 2 bound on every dataset") {
-    banner("Fig 1(c): L1 error", Experiments.fig1cL1())
-    for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
-      assert(st("TPA").avgL1 <= Tpa.accuracyBound(ExpConfig.c, spec.s) + 1e-6,
-        s"${spec.name}: ${st("TPA").avgL1} > bound ${Tpa.accuracyBound(ExpConfig.c, spec.s)}")
+    val rows = Experiments.online
+    banner("Fig 1(c): L1 error", Experiments.fig1cTable(rows))
+    for ((spec, r) <- Datasets.all.zip(rows)) {
+      val l1 = r.stats("TPA").get.l1
+      assert(l1 <= Tpa.accuracyBound(ExpConfig.c, spec.s) + 1e-6,
+        s"${r.dataset}: $l1 > bound ${Tpa.accuracyBound(ExpConfig.c, spec.s)}")
     }
   }
 
   test("Fig 4: TPA rank accuracy is high on every dataset") {
-    banner("Fig 4: Spearman rank accuracy", Experiments.fig4Spearman())
-    for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
-      assert(st("TPA").avgSpearman > 0.8,
-        s"${spec.name}: TPA Spearman ${st("TPA").avgSpearman}")
+    val rows = Experiments.online
+    banner("Fig 4: Spearman rank accuracy", Experiments.fig4Table(rows))
+    for (r <- rows) {
+      val sp = r.stats("TPA").get.spearman
+      assert(sp > 0.8, s"${r.dataset}: TPA Spearman $sp")
     }
   }
 }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.experiments.{Experiments, Runner}
+import repro.experiments.Experiments
 import repro.graph.Datasets
 
 /** Figure 3: memory for preprocessed data. Paper claims TPA needs up to
@@ -10,18 +10,14 @@ import repro.graph.Datasets
 class Fig3MemoryBench extends BenchBase {
 
   test("Fig 3: TPA stores the least preprocessed data") {
-    banner("Fig 3: preprocessed-data memory", Experiments.fig3Memory())
-    for (spec <- Datasets.all) {
-      val tpa = Runner.tpaModel(spec).value.memoryBytes
+    val rows = Experiments.fig3Memory()
+    banner("Fig 3: preprocessed-data memory", Experiments.fig3Table(rows))
+    for ((spec, r) <- Datasets.all.zip(rows)) {
+      val tpa = r.tpaBytes
       assert(tpa == 8L * spec.n) // O(n), exactly one double per node
-      Runner.nbLinModel(spec).foreach(nb =>
-        assert(tpa < nb.value.memoryBytes,
-          s"${spec.name}: TPA $tpa !< NB-LIN ${nb.value.memoryBytes}"))
-      Runner.bearModel(spec).foreach(bear =>
-        assert(tpa < bear.value.memoryBytes,
-          s"${spec.name}: TPA $tpa !< BEAR ${bear.value.memoryBytes}"))
-      val hub = Runner.hubPprModel(spec).value.memoryBytes
-      assert(tpa < hub, s"${spec.name}: TPA $tpa !< HubPPR $hub")
+      r.nbLinBytes.foreach(nb => assert(tpa < nb, s"${r.dataset}: TPA $tpa !< NB-LIN $nb"))
+      r.bearBytes.foreach(bear => assert(tpa < bear, s"${r.dataset}: TPA $tpa !< BEAR $bear"))
+      assert(tpa < r.hubPprBytes, s"${r.dataset}: TPA $tpa !< HubPPR ${r.hubPprBytes}")
     }
   }
 }

@@ -11,12 +11,9 @@ import repro.graph.Datasets
 class Fig5StrangerBench extends BenchBase {
 
   test("Fig 5: stranger approximation lifts rank accuracy over TPA-NA") {
-    banner("Fig 5: TPA vs TPA-NA", Experiments.fig5Stranger())
-    var wins = 0
-    for (spec <- Datasets.all) {
-      val st = Experiments.onlineStats(spec).map(s => s.method -> s).toMap
-      if (st("TPA").avgSpearman > st("TPA-NA").avgSpearman) wins += 1
-    }
+    val rows = Experiments.online
+    banner("Fig 5: TPA vs TPA-NA", Experiments.fig5Table(rows))
+    val wins = rows.count(r => r.stats("TPA").get.spearman > r.stats("TPA-NA").get.spearman)
     // the ranking improvement is the paper's headline claim for Fig 5
     assert(wins == Datasets.all.size,
       s"TPA beat TPA-NA in Spearman on only $wins/${Datasets.all.size} datasets")

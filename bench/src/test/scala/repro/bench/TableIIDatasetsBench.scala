@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.experiments.Experiments
-import repro.graph.{Datasets, GraphGenSpec}
+import repro.graph.GraphGenSpec
 
 /** Table II: dataset statistics of the scaled-down analogs next to the
   * paper's originals. Asserts each analog keeps its original's edge
@@ -11,15 +11,16 @@ import repro.graph.{Datasets, GraphGenSpec}
 class TableIIDatasetsBench extends BenchBase {
 
   test("Table II: analog datasets materialize and keep paper densities") {
-    banner("Table II: datasets (analog vs paper)", Experiments.tableII())
-    for (spec <- Datasets.all) {
-      val g = Datasets.local(spec)
-      val density = g.m.toDouble / spec.n
-      val paperDensity = spec.paperEdges.toDouble / spec.paperNodes
+    val rows = Experiments.tableII()
+    banner("Table II: datasets (analog vs paper)", Experiments.tableIITable(rows))
+    for (r <- rows) {
+      val name = r.spec.name
+      val density = r.m.toDouble / r.spec.n
+      val paperDensity = r.spec.paperEdges.toDouble / r.spec.paperNodes
       assert(density > paperDensity * 0.6 && density < paperDensity * 1.4,
-        s"${spec.name}: density $density vs paper $paperDensity")
-      assert((0 until g.n).forall(g.outDeg(_) >= 1), s"${spec.name} has dangling nodes")
-      assert(g.fingerprint == GraphGenSpec.analogFingerprints(spec.name), s"${spec.name}: ${g.fingerprint}")
+        s"$name: density $density vs paper $paperDensity")
+      assert(r.dangling == 0, s"$name has dangling nodes")
+      assert(r.fingerprint == GraphGenSpec.analogFingerprints(name), s"$name: ${r.fingerprint}")
     }
   }
 }

@@ -7,37 +7,38 @@ import repro.graph.Datasets
 /** Table II — dataset statistics of the scaled analogs. */
 object DatasetStatsJob extends JobBase {
   val title = "Table II: datasets"
-  def run(): String = Experiments.tableII()
+  def run(): String = Experiments.tableIITable(Experiments.tableII())
 }
 
 /** Figure 1(a) — preprocessing time per method. */
 object PreprocessJob extends JobBase {
   val title = "Fig 1(a): preprocessing time"
-  def run(): String = Experiments.fig1aPreprocess()
+  def run(): String = Experiments.fig1aTable(Experiments.fig1aPreprocess())
 }
 
 /** Figure 1(b) — online time per method. */
 object OnlineJob extends JobBase {
   val title = "Fig 1(b): online time"
-  def run(): String = Experiments.fig1bOnline()
+  def run(): String = Experiments.fig1bTable(Experiments.online)
 }
 
 /** Figures 1(c) and 4 — L1 error and Spearman rank accuracy. */
 object AccuracyJob extends JobBase {
   val title = "Fig 1(c): L1 error / Fig 4: Spearman"
-  def run(): String = Experiments.fig1cL1() + "\n" + Experiments.fig4Spearman()
+  def run(): String =
+    Experiments.fig1cTable(Experiments.online) + "\n" + Experiments.fig4Table(Experiments.online)
 }
 
 /** Figure 3 — preprocessed-data memory per method. */
 object MemoryJob extends JobBase {
   val title = "Fig 3: preprocessed-data memory"
-  def run(): String = Experiments.fig3Memory()
+  def run(): String = Experiments.fig3Table(Experiments.fig3Memory())
 }
 
 /** Figure 5 — stranger approximation effectiveness (TPA vs TPA-NA). */
 object StrangerJob extends JobBase {
   val title = "Fig 5: stranger approximation"
-  def run(): String = Experiments.fig5Stranger()
+  def run(): String = Experiments.fig5Table(Experiments.online)
 }
 
 /** Figure 6 — neighbor approximation on real-like vs random graphs. */
@@ -67,7 +68,7 @@ object SparkScaleJob extends JobBase {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("SparkScaleJob")
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .getOrCreate()
     try SparkScale.report(Datasets.wikilink, SparkScale.run(spark, Datasets.wikilink))
     finally spark.stop()

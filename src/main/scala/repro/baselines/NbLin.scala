@@ -43,13 +43,14 @@ object NbLin {
     w
   }
 
-  /** Preprocess: rank-k SVD of W plus Λ. Singular values below
-    * `sigmaTol` are truncated to keep Σ^{-1} well conditioned.
-    */
-  def preprocess(g: LocalGraph, c: Double, rank: Int, sigmaTol: Double = 1e-12): Model = {
+  /** Singular values at or below this are dropped, keeping Σ^{-1} well conditioned. */
+  private val SigmaTol = 1e-12
+
+  /** Preprocess: rank-k SVD of W plus Λ. */
+  def preprocess(g: LocalGraph, c: Double, rank: Int): Model = {
     val w = denseW(g)
     val svd.SVD(uFull, sVec, vtFull) = svd(w)
-    val kEff = math.min(rank, sVec.toArray.count(_ > sigmaTol))
+    val kEff = math.min(rank, sVec.toArray.count(_ > SigmaTol))
     val u = uFull(::, 0 until kEff).toDenseMatrix
     val vt = vtFull(0 until kEff, ::).toDenseMatrix
     val sInv = DenseMatrix.tabulate[Double](kEff, kEff)((i, j) =>

@@ -20,14 +20,14 @@ import repro.graph.LocalGraph
   */
 object Rppr {
 
-  /** Result of a push run: score estimate plus work counters used by the
-    * benches (pushes ≈ the paper's "amount of graph data accessed").
+  /** Result of a push run: score estimate plus work counters (pushes ≈
+    * the paper's "amount of graph data accessed"). No exhibit reports the
+    * counters; the unit tests check them.
     */
   final case class Result(scores: Array[Double], pushes: Long, edgeTraversals: Long)
 
   /** RPPR: push every node with residual > theta until none remain. */
-  def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double,
-           maxPushes: Long = Long.MaxValue): Result = {
+  def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double): Result = {
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inQueue = new Array[Boolean](g.n)
@@ -36,7 +36,7 @@ object Rppr {
     queue.add(seed); inQueue(seed) = true
     var pushes = 0L
     var traversals = 0L
-    while (!queue.isEmpty && pushes < maxPushes) {
+    while (!queue.isEmpty) {
       val u = queue.poll().intValue()
       inQueue(u) = false
       val ru = res(u)
@@ -71,8 +71,7 @@ object Rppr {
     * depend on exact max-first order, so stale priorities are harmless
     * and the queue stays O(n) instead of O(edge traversals).
     */
-  def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double,
-            maxPushes: Long = Long.MaxValue): Result = {
+  def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double): Result = {
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inPq = new Array[Boolean](g.n)
@@ -83,7 +82,7 @@ object Rppr {
     var totalRes = 1.0
     var pushes = 0L
     var traversals = 0L
-    while (totalRes >= kappa && !pq.isEmpty && pushes < maxPushes) {
+    while (totalRes >= kappa && !pq.isEmpty) {
       val u = pq.poll()._2
       inPq(u) = false
       val ru = res(u)

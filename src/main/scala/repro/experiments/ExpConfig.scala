@@ -6,59 +6,53 @@ package repro.experiments
   * scaled-down sizes (DESIGN.md §5): a dense O(n³) method is allowed to
   * run only on analogs corresponding to the datasets it finished on in
   * the paper, and is reported as OOT elsewhere — matching the omitted
-  * bars of Figs 1 and 3. Everything is env-overridable so the caps can
-  * be lifted for a longer run.
+  * bars of Figs 1 and 3. Every value is a constant.
   */
 object ExpConfig {
-  private def envInt(k: String, d: Int): Int =
-    sys.env.get(k).map(_.toInt).getOrElse(d)
-  private def envDouble(k: String, d: Double): Double =
-    sys.env.get(k).map(_.toDouble).getOrElse(d)
-
   /** Restart probability (paper: 0.15). */
-  val c: Double = envDouble("REPRO_C", 0.15)
+  val c: Double = 0.15
 
   /** CPI convergence tolerance (paper: 1e-9). */
-  val eps: Double = envDouble("REPRO_EPS", 1e-9)
+  val eps: Double = 1e-9
 
-  /** Seeds averaged per dataset (paper: 30; default 10 to bound bench time). */
-  val numSeeds: Int = envInt("REPRO_SEEDS", 10)
+  /** Seeds averaged per dataset (paper: 30; 10 here to bound bench time). */
+  val numSeeds: Int = 10
 
   /** RPPR expansion tolerance (paper: 1e-4). */
-  val rpprTheta: Double = envDouble("REPRO_RPPR_THETA", 1e-4)
+  val rpprTheta: Double = 1e-4
 
   /** BRPPR frontier-residual threshold. */
-  val brpprKappa: Double = envDouble("REPRO_BRPPR_KAPPA", 1e-3)
+  val brpprKappa: Double = 1e-3
 
   /** NB-LIN target rank (drop tolerance is 0, per the paper). */
-  val nbLinRank: Int = envInt("REPRO_NBLIN_RANK", 100)
+  val nbLinRank: Int = 100
 
   /** NB-LIN runs only where n ≤ this (paper: fails from Pokec onward). */
-  val nbLinMaxN: Int = envInt("REPRO_NBLIN_MAXN", 3000)
+  val nbLinMaxN: Int = 3000
 
   /** BEAR-APPROX hub fraction for the hubs-last ordering. */
-  val bearHubFrac: Double = envDouble("REPRO_BEAR_HUBFRAC", 0.2)
+  val bearHubFrac: Double = 0.2
 
   /** BEAR-APPROX runs only where n ≤ this (paper: fails from Google onward). */
-  val bearMaxN: Int = envInt("REPRO_BEAR_MAXN", 1500)
+  val bearMaxN: Int = 1500
 
   /** HubPPR backward-push residual bound. */
-  val hubPprRmax: Double = envDouble("REPRO_HUBPPR_RMAX", 1e-3)
+  val hubPprRmax: Double = 1e-3
 
   /** HubPPR forward-walk count per query. */
-  val hubPprWalks: Int = envInt("REPRO_HUBPPR_WALKS", 10000)
+  val hubPprWalks: Int = 10000
 
   /** HubPPR hub-index size (precomputed backward pushes). */
-  val hubPprHubs: Int = envInt("REPRO_HUBPPR_HUBS", 64)
+  val hubPprHubs: Int = 64
 
   /** HubPPR full-vector queries run only where n ≤ this (paper: omitted
     * from Google onward — 10⁴× TPA online time).
     */
-  val hubPprOnlineMaxN: Int = envInt("REPRO_HUBPPR_ONLINE_MAXN", 1500)
+  val hubPprOnlineMaxN: Int = 1500
 
   /** HubPPR seeds for online measurement (full-vector loop is slow by design). */
-  val hubPprSeeds: Int = envInt("REPRO_HUBPPR_SEEDS", 3)
+  val hubPprSeeds: Int = 3
 
   /** Wall-clock cap per HubPPR full-vector query, ms. */
-  val hubPprDeadlineMs: Long = envInt("REPRO_HUBPPR_DEADLINE_MS", 120000).toLong
+  val hubPprDeadlineMs: Long = 120000L
 }

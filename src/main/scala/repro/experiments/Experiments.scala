@@ -3,151 +3,132 @@ package repro.experiments
 import repro.baselines.{HubPpr, NbLin, BearApprox, Rppr}
 import repro.core.Tpa
 import repro.graph.{Datasets, DatasetSpec, GraphGen, LocalGraph}
-import repro.metrics.Metrics
-
-import scala.collection.mutable
 
 /** One function per reproduced paper exhibit (Table II and Figures 1,
-  * 3–8 rendered as tables of numbers). Figs 6–8 return typed rows, which
-  * the bench suites assert on and the matching `figNTable` renders for
-  * jobs and bench banners alike; the others return the markdown table.
-  * See DESIGN.md §6 and EXPERIMENTS.md for paper-vs-measured.
+  * 3–8 rendered as tables of numbers). Each returns typed rows, which the
+  * bench suites assert on and the matching `…Table` renders for jobs and
+  * bench banners alike. Every online method is scored by
+  * [[Runner.evaluate]]. See DESIGN.md §6 and EXPERIMENTS.md for
+  * paper-vs-measured.
   */
 object Experiments {
   import Runner._
 
-  /** Per-method online statistics averaged over seeds. */
-  final case class MethodStats(method: String, avgMs: Double, avgL1: Double,
-                               avgSpearman: Double, note: String = "") {
-    def available: Boolean = note != "OOT"
-  }
-
-  private val onlineCache = mutable.Map.empty[String, Seq[MethodStats]]
-
-  /** Run every online method on a dataset, measuring time and accuracy
-    * against the exact RWR for each seed. Cached per dataset.
-    */
-  def onlineStats(spec: DatasetSpec): Seq[MethodStats] =
-    onlineCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spec)
-      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      val exacts = seeds.map(s => (s, exact(g, spec, s))).toMap
-
-      def stats(name: String, seedSubset: Seq[Int], note: String = "")
-               (run: Int => Array[Double]): MethodStats = {
-        val timed = seedSubset.map { s => (s, time(run(s))) }
-        MethodStats(
-          name,
-          timed.map(_._2.ms).sum / timed.size,
-          timed.map { case (s, t) => Metrics.l1(t.value, exacts(s)) }.sum / timed.size,
-          timed.map { case (s, t) => Metrics.spearman(t.value, exacts(s)) }.sum / timed.size,
-          note)
-      }
-      def oot(name: String) = MethodStats(name, Double.NaN, Double.NaN, Double.NaN, "OOT")
-
-      val tpa = tpaModel(spec).value
-      val out = mutable.ArrayBuffer.empty[MethodStats]
-      out += stats("TPA", seeds)(s => Tpa.online(g, tpa, spec.s, s, ExpConfig.eps))
-      out += stats("TPA-NA", seeds)(s =>
-        Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, s, ExpConfig.eps))
-      out += stats("RPPR", seeds)(s =>
-        Rppr.rppr(g, s, ExpConfig.c, ExpConfig.rpprTheta).scores)
-      out += stats("BRPPR", seeds)(s =>
-        Rppr.brppr(g, s, ExpConfig.c, ExpConfig.brpprKappa).scores)
-      out += (nbLinModel(spec) match {
-        case Some(m) => stats("NB-LIN", seeds)(s => NbLin.query(m.value, s))
-        case None    => oot("NB-LIN")
-      })
-      out += (bearModel(spec) match {
-        case Some(m) => stats("BEAR-APPROX", seeds)(s => BearApprox.query(m.value, s))
-        case None    => oot("BEAR-APPROX")
-      })
-      out += {
-        if (spec.n > ExpConfig.hubPprOnlineMaxN) oot("HubPPR")
-        else {
-          val m = hubPprModel(spec).value
-          val rng = new scala.util.Random(7)
-          stats("HubPPR", seeds.take(ExpConfig.hubPprSeeds),
-                note = s"${ExpConfig.hubPprSeeds} seeds") { s =>
-            HubPpr.fullVector(m, g, s, ExpConfig.hubPprWalks, rng,
-                              ExpConfig.hubPprDeadlineMs)._1
-          }
-        }
-      }
-      out.toSeq
-    })
+  private def orOot[A](a: Option[A])(fmt: A => String): String = a.map(fmt).getOrElse("OOT")
 
   // ---- Table II ----
 
+  /** A realized analog next to its paper graph; `dangling` counts nodes
+    * without an out-edge.
+    */
+  final case class TableIIRow(spec: DatasetSpec, n: Int, m: Int, dangling: Int, fingerprint: String)
+
   /** Table II: realized analog statistics next to the paper's graphs. */
-  def tableII(): String = {
-    val rows = Datasets.all.map { spec =>
+  def tableII(): Seq[TableIIRow] =
+    Datasets.all.map { spec =>
       val g = Datasets.local(spec)
-      Seq(spec.name, g.n.toString, g.m.toString,
-          spec.paperNodes.toString, spec.paperEdges.toString,
-          spec.s.toString, spec.t.toString, g.fingerprint)
+      TableIIRow(spec, g.n, g.m, (0 until g.n).count(g.outDeg(_) == 0), g.fingerprint)
     }
-    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T", "fingerprint"), rows)
-  }
+
+  def tableIITable(rows: Seq[TableIIRow]): String =
+    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T", "fingerprint"),
+      rows.map(r => Seq(r.spec.name, r.n.toString, r.m.toString,
+                        r.spec.paperNodes.toString, r.spec.paperEdges.toString,
+                        r.spec.s.toString, r.spec.t.toString, r.fingerprint)))
 
   // ---- Figure 1(a): preprocessing time ----
 
-  def fig1aPreprocess(): String = {
-    val rows = Datasets.all.map { spec =>
-      val tpa = tpaModel(spec)
-      val nb = nbLinModel(spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
-      val bear = bearModel(spec).map(t => fmtMs(t.ms)).getOrElse("OOT")
-      val hub = fmtMs(hubPprModel(spec).ms)
-      Seq(spec.name, fmtMs(tpa.ms), nb, bear, hub)
+  /** Each method's preprocessing time; None where its gate rules it out (OOT). */
+  final case class Fig1aRow(dataset: String, tpaMs: Double, nbLinMs: Option[Double],
+                            bearMs: Option[Double], hubPprMs: Double)
+
+  def fig1aPreprocess(): Seq[Fig1aRow] =
+    Datasets.all.map { spec =>
+      Fig1aRow(spec.name, tpaModel(spec).ms, nbLinModel(spec).map(_.ms),
+               bearModel(spec).map(_.ms), hubPprModel(spec).ms)
     }
-    table(Seq("dataset", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"), rows)
+
+  def fig1aTable(rows: Seq[Fig1aRow]): String =
+    table(Seq("dataset", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"),
+      rows.map(r => Seq(r.dataset, fmtMs(r.tpaMs), orOot(r.nbLinMs)(fmtMs),
+                        orOot(r.bearMs)(fmtMs), fmtMs(r.hubPprMs))))
+
+  // ---- Figure 1(b)/(c), Figures 4 and 5: online time / L1 / Spearman ----
+
+  /** Every online method's [[Runner.Eval]] on one dataset, by method name;
+    * None where the method's gate rules it out (OOT).
+    */
+  final case class OnlineRow(dataset: String, stats: Map[String, Option[Eval]])
+
+  /** The online rows of every analog, computed once: Figs 1(b), 1(c), 4
+    * and 5 all read them.
+    */
+  lazy val online: Seq[OnlineRow] = Datasets.all.map(onlineRow)
+
+  private def onlineRow(spec: DatasetSpec): OnlineRow = {
+    val g = Datasets.local(spec)
+    val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
+    def on(run: Int => Array[Double]): Option[Eval] = Some(evaluate(g, seeds)(run))
+    val tpa = tpaModel(spec).value
+    OnlineRow(spec.name, Map(
+      "TPA" -> on(Tpa.online(g, tpa, spec.s, _, ExpConfig.eps)),
+      "TPA-NA" -> on(Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, _, ExpConfig.eps)),
+      "RPPR" -> on(Rppr.rppr(g, _, ExpConfig.c, ExpConfig.rpprTheta).scores),
+      "BRPPR" -> on(Rppr.brppr(g, _, ExpConfig.c, ExpConfig.brpprKappa).scores),
+      "NB-LIN" -> nbLinModel(spec).flatMap(m => on(NbLin.query(m.value, _))),
+      "BEAR-APPROX" -> bearModel(spec).flatMap(m => on(BearApprox.query(m.value, _))),
+      "HubPPR" -> Option.when(spec.n <= ExpConfig.hubPprOnlineMaxN) {
+        val m = hubPprModel(spec).value
+        val rng = new scala.util.Random(7)
+        evaluate(g, seeds.take(ExpConfig.hubPprSeeds)) { s =>
+          HubPpr.fullVector(m, g, s, ExpConfig.hubPprWalks, rng, ExpConfig.hubPprDeadlineMs)._1
+        }
+      }))
   }
 
-  // ---- Figure 1(b)/(c), Figure 4: online time / L1 / Spearman ----
-
-  private def onlineTable(col: MethodStats => String, metric: String): String = {
+  private def onlineTable(rows: Seq[OnlineRow], metric: String)(col: Eval => String): String = {
     val methods = Seq("TPA", "RPPR", "BRPPR", "NB-LIN", "BEAR-APPROX", "HubPPR")
-    val rows = Datasets.all.map { spec =>
-      val st = onlineStats(spec).map(s => s.method -> s).toMap
-      spec.name +: methods.map(m => if (st(m).available) col(st(m)) else "OOT")
-    }
-    table(s"dataset ($metric)" +: methods, rows.map(_.toSeq))
+    table(s"dataset ($metric)" +: methods,
+      rows.map(r => r.dataset +: methods.map(m => orOot(r.stats(m))(col))))
   }
 
-  def fig1bOnline(): String =
-    onlineTable(s => fmtMs(s.avgMs), "online time")
+  def fig1bTable(rows: Seq[OnlineRow]): String = onlineTable(rows, "online time")(e => fmtMs(e.ms))
 
-  def fig1cL1(): String =
-    onlineTable(s => fmtSci(s.avgL1), "L1 error")
+  def fig1cTable(rows: Seq[OnlineRow]): String = onlineTable(rows, "L1 error")(e => fmtSci(e.l1))
 
-  def fig4Spearman(): String =
-    onlineTable(s => f"${s.avgSpearman}%.4f", "Spearman")
+  def fig4Table(rows: Seq[OnlineRow]): String = onlineTable(rows, "Spearman")(e => f"${e.spearman}%.4f")
+
+  /** Figure 5: stranger approximation effectiveness (TPA vs TPA-NA). */
+  def fig5Table(rows: Seq[OnlineRow]): String =
+    table(Seq("dataset", "TPA L1", "TPA-NA L1", "TPA Spearman", "TPA-NA Spearman"),
+      rows.map { r =>
+        val (tpa, na) = (r.stats("TPA").get, r.stats("TPA-NA").get)
+        Seq(r.dataset, fmtSci(tpa.l1), fmtSci(na.l1), f"${tpa.spearman}%.4f", f"${na.spearman}%.4f")
+      })
 
   // ---- Figure 3: preprocessed-data memory ----
 
-  def fig3Memory(): String = {
-    val rows = Datasets.all.map { spec =>
-      val graphBytes = 8L * Datasets.local(spec).m // shared input (CSR edges), charged to all
-      val tpa = fmtBytes(tpaModel(spec).value.memoryBytes)
-      val nb = nbLinModel(spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
-      val bear = bearModel(spec).map(t => fmtBytes(t.value.memoryBytes)).getOrElse("OOT")
-      val hub = fmtBytes(hubPprModel(spec).value.memoryBytes)
-      Seq(spec.name, fmtBytes(graphBytes), tpa, nb, bear, hub)
-    }
-    table(Seq("dataset", "(graph)", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"), rows)
-  }
+  /** Each method's preprocessed bytes next to the CSR input's; None where
+    * the method's gate rules it out (OOT).
+    */
+  final case class Fig3Row(dataset: String, graphBytes: Long, tpaBytes: Long,
+                           nbLinBytes: Option[Long], bearBytes: Option[Long], hubPprBytes: Long)
 
-  // ---- Figure 5: stranger approximation effectiveness (TPA vs TPA-NA) ----
-
-  def fig5Stranger(): String = {
-    val rows = Datasets.all.map { spec =>
-      val st = onlineStats(spec).map(s => s.method -> s).toMap
-      Seq(spec.name,
-          fmtSci(st("TPA").avgL1), fmtSci(st("TPA-NA").avgL1),
-          f"${st("TPA").avgSpearman}%.4f", f"${st("TPA-NA").avgSpearman}%.4f")
+  def fig3Memory(): Seq[Fig3Row] =
+    Datasets.all.map { spec =>
+      Fig3Row(spec.name,
+              8L * Datasets.local(spec).m, // shared input (CSR edges), charged to all
+              tpaModel(spec).value.memoryBytes,
+              nbLinModel(spec).map(_.value.memoryBytes),
+              bearModel(spec).map(_.value.memoryBytes),
+              hubPprModel(spec).value.memoryBytes)
     }
-    table(Seq("dataset", "TPA L1", "TPA-NA L1", "TPA Spearman", "TPA-NA Spearman"), rows)
-  }
+
+  def fig3Table(rows: Seq[Fig3Row]): String =
+    table(Seq("dataset", "(graph)", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"),
+      rows.map(r => Seq(r.dataset, fmtBytes(r.graphBytes), fmtBytes(r.tpaBytes),
+                        orOot(r.nbLinBytes)(fmtBytes), orOot(r.bearBytes)(fmtBytes),
+                        fmtBytes(r.hubPprBytes))))
 
   // ---- Figure 6: neighbor approximation, real-like vs random graphs ----
 
@@ -159,20 +140,12 @@ object Experiments {
 
   def fig6Neighbor(): Seq[Fig6Row] =
     Datasets.all.map { spec =>
-      val gReal = Datasets.local(spec)
-      val gRand = Datasets.randomCounterpartLocal(spec)
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
-      def run(g: LocalGraph, cached: Boolean): (Double, Double) = {
-        val pairs = seeds.map { s =>
-          val ex = if (cached) exact(g, spec, s) else exactOn(g, s)
-          val na = Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, s, ExpConfig.eps)
-          (Metrics.l1(na, ex), Metrics.spearman(na, ex))
-        }
-        (mean(pairs.map(_._1)), mean(pairs.map(_._2)))
-      }
-      val (l1Real, spReal) = run(gReal, cached = true)
-      val (l1Rand, spRand) = run(gRand, cached = false)
-      Fig6Row(spec.name, l1Real, l1Rand, spReal, spRand)
+      def tpaNA(g: LocalGraph): Eval =
+        evaluate(g, seeds)(Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, _, ExpConfig.eps))
+      val real = tpaNA(Datasets.local(spec))
+      val rand = tpaNA(Datasets.randomCounterpartLocal(spec))
+      Fig6Row(spec.name, real.l1, rand.l1, real.spearman, rand.spearman)
     }
 
   def fig6Table(rows: Seq[Fig6Row]): String =
@@ -186,24 +159,20 @@ object Experiments {
   /** TPA's mean online time and L1 error at one S, with T = 10. */
   final case class Fig7Row(dataset: String, s: Int, onlineMs: Double, l1: Double)
 
-  def fig7SSweep(): Seq[Fig7Row] = {
-    val tFixed = 10
-    for {
-      spec <- Seq(Datasets.livejournal, Datasets.pokec)
-      g = Datasets.local(spec)
-      // Reuse the registry stranger vector only when it was built with T=10.
-      model = if (spec.t == tFixed)
-                Tpa.Model(tpaModel(spec).value.stranger, ExpConfig.c, tFixed)
-              else Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tFixed)
-      sVal <- 1 to 8
-    } yield {
-      val runs = Datasets.seedNodes(spec, ExpConfig.numSeeds).map { s =>
-        val t = time(Tpa.online(g, model, sVal, s, ExpConfig.eps))
-        (t.ms, Metrics.l1(t.value, exact(g, spec, s)))
+  /** The S sweep on the LiveJournal and Pokec analogs, whose Table II T
+    * is the fixed 10, so their registry models serve every S.
+    */
+  def fig7SSweep(): Seq[Fig7Row] =
+    Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
+      val g = Datasets.local(spec)
+      val model = tpaModel(spec).value
+      require(model.t == 10, s"${spec.name}: Fig 7 fixes T = 10, the model has T = ${model.t}")
+      val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
+      (1 to 8).map { sVal =>
+        val e = evaluate(g, seeds)(Tpa.online(g, model, sVal, _, ExpConfig.eps))
+        Fig7Row(spec.name, sVal, e.ms, e.l1)
       }
-      Fig7Row(spec.name, sVal, mean(runs.map(_._1)), mean(runs.map(_._2)))
     }
-  }
 
   def fig7Table(rows: Seq[Fig7Row]): String =
     table(Seq("dataset", "S", "online time", "L1 error"),
@@ -214,35 +183,26 @@ object Experiments {
   /** TPA's mean L1 error and Spearman at one T, with S = 4. */
   final case class Fig8Row(dataset: String, t: Int, l1: Double, spearman: Double)
 
-  /** The T sweep on the LiveJournal and Pokec analogs, then on a
-    * strong-community SBM (n = 4096, 32 blocks, 95 % in-block draws).
+  /** The strong-community SBM of Fig 8 (n = 4096, 32 blocks, 95 % in-block
+    * draws), built once so its exact vectors are cached with it.
+    */
+  private lazy val sbm = GraphGen.communities(4096, 32, 40000, 0.95, 77)
+
+  /** The T sweep on the LiveJournal and Pokec analogs, then on [[sbm]].
     * The analogs mix too fast for the small-T penalty to show; the SBM
     * has the locality behind the paper's full U-shape (EXPERIMENTS.md).
     */
-  def fig8TSweep(): Seq[Fig8Row] = {
-    val analogs = Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
-      val g = Datasets.local(spec)
-      tSweep(spec.name, g, Datasets.seedNodes(spec, ExpConfig.numSeeds), exact(g, spec, _))
-    }
-    val sbm = GraphGen.communities(4096, 32, 40000, 0.95, 77)
-    val sbmSeeds = Seq(1, 100, 2000, 3000, 4001)
-    analogs ++ tSweep("sbm-community", sbm, sbmSeeds,
-                      sbmSeeds.map(s => s -> exactOn(sbm, s)).toMap)
-  }
+  def fig8TSweep(): Seq[Fig8Row] =
+    Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
+      tSweep(spec.name, Datasets.local(spec), Datasets.seedNodes(spec, ExpConfig.numSeeds))
+    } ++ tSweep("sbm-community", sbm, Seq(1, 100, 2000, 3000, 4001))
 
-  private def tSweep(name: String, g: LocalGraph, seeds: Seq[Int],
-                     exactOf: Int => Array[Double]): Seq[Fig8Row] = {
-    val sFixed = 4
+  private def tSweep(name: String, g: LocalGraph, seeds: Seq[Int]): Seq[Fig8Row] =
     Seq(4, 5, 6, 8, 10, 15, 20, 30).map { tVal =>
       val model = Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, tVal)
-      val runs = seeds.map { s =>
-        val v = Tpa.online(g, model, sFixed, s, ExpConfig.eps)
-        val ex = exactOf(s)
-        (Metrics.l1(v, ex), Metrics.spearman(v, ex))
-      }
-      Fig8Row(name, tVal, mean(runs.map(_._1)), mean(runs.map(_._2)))
+      val e = evaluate(g, seeds)(Tpa.online(g, model, 4, _, ExpConfig.eps))
+      Fig8Row(name, tVal, e.l1, e.spearman)
     }
-  }
 
   def fig8Table(rows: Seq[Fig8Row]): String =
     table(Seq("dataset", "T", "L1 error", "Spearman"),

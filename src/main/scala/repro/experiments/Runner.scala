@@ -3,12 +3,14 @@ package repro.experiments
 import repro.core.{LocalCpi, Tpa}
 import repro.graph.{Datasets, DatasetSpec, LocalGraph}
 import repro.baselines.{BearApprox, HubPpr, NbLin}
+import repro.metrics.Metrics
 
 import scala.collection.mutable
 
 /** Shared measurement machinery: wall-clock timing, markdown table
-  * formatting, and per-dataset caches of exact vectors and preprocessed
-  * baseline models so the per-figure experiments don't redo work.
+  * formatting, the one evaluation loop every exhibit scores a method
+  * with, and caches of exact vectors and preprocessed models so the
+  * per-figure experiments don't redo work.
   */
 object Runner {
 
@@ -39,32 +41,46 @@ object Runner {
   def fmtBytes(b: Long): String =
     if (b >= (1L << 20)) f"${b / 1048576.0}%.2f MB" else f"${b / 1024.0}%.1f KB"
 
+  /** A method's mean query time, L1 error and Spearman against exact RWR. */
+  final case class Eval(ms: Double, l1: Double, spearman: Double)
+
+  /** Score `run` on `g` from each of `seeds`, the paper's way: time one
+    * query per seed and compare its vector with the exact RWR. Every exact
+    * vector is in hand before the first query is timed.
+    */
+  def evaluate(g: LocalGraph, seeds: Seq[Int])(run: Int => Array[Double]): Eval = {
+    val exacts = seeds.map(exact(g, _))
+    val timed = seeds.map(s => time(run(s)))
+    val pairs = timed.map(_.value).zip(exacts)
+    Eval(mean(timed.map(_.ms)),
+         mean(pairs.map { case (v, ex) => Metrics.l1(v, ex) }),
+         mean(pairs.map { case (v, ex) => Metrics.spearman(v, ex) }))
+  }
+
   // ---- caches (benches run sequentially in one JVM) ----
 
-  private val exactCache = mutable.Map.empty[(String, Int), Array[Double]]
+  private val exactCache = mutable.Map.empty[(LocalGraph, Int), Array[Double]]
   private val tpaCache = mutable.Map.empty[String, Timed[Tpa.Model]]
   private val nbLinCache = mutable.Map.empty[String, Option[Timed[NbLin.Model]]]
   private val bearCache = mutable.Map.empty[String, Option[Timed[BearApprox.Model]]]
   private val hubCache = mutable.Map.empty[String, Timed[HubPpr.Model]]
 
-  /** Exact RWR vector (ground truth; CPI to ε = 1e-9), cached. */
-  def exact(g: LocalGraph, spec: DatasetSpec, seed: Int): Array[Double] =
-    exactCache.getOrElseUpdate((spec.name, seed),
-      LocalCpi.rwr(g, seed, ExpConfig.c, ExpConfig.eps))
-
-  /** Exact RWR on an arbitrary (non-registry) graph — not cached. */
-  def exactOn(g: LocalGraph, seed: Int): Array[Double] =
-    LocalCpi.rwr(g, seed, ExpConfig.c, ExpConfig.eps)
+  /** Exact RWR vector (ground truth; CPI to ε = 1e-9), cached per graph
+    * object and seed. [[LocalGraph]] compares by reference, and
+    * [[Datasets]] builds each graph once.
+    */
+  def exact(g: LocalGraph, seed: Int): Array[Double] =
+    exactCache.getOrElseUpdate((g, seed), LocalCpi.rwr(g, seed, ExpConfig.c, ExpConfig.eps))
 
   /** TPA preprocessing (timed, cached per dataset). */
-  def tpaModel(spec: DatasetSpec): Timed[Tpa.Model] =
+  private[experiments] def tpaModel(spec: DatasetSpec): Timed[Tpa.Model] =
     tpaCache.getOrElseUpdate(spec.name, {
       val g = Datasets.local(spec)
       time(Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, spec.t))
     })
 
   /** NB-LIN preprocessing; None when gated out (OOT in the paper). */
-  def nbLinModel(spec: DatasetSpec): Option[Timed[NbLin.Model]] =
+  private[experiments] def nbLinModel(spec: DatasetSpec): Option[Timed[NbLin.Model]] =
     nbLinCache.getOrElseUpdate(spec.name, {
       if (spec.n > ExpConfig.nbLinMaxN) None
       else {
@@ -74,7 +90,7 @@ object Runner {
     })
 
   /** BEAR-APPROX preprocessing; None when gated out (OOT in the paper). */
-  def bearModel(spec: DatasetSpec): Option[Timed[BearApprox.Model]] =
+  private[experiments] def bearModel(spec: DatasetSpec): Option[Timed[BearApprox.Model]] =
     bearCache.getOrElseUpdate(spec.name, {
       if (spec.n > ExpConfig.bearMaxN) None
       else {
@@ -85,7 +101,7 @@ object Runner {
     })
 
   /** HubPPR hub-index preprocessing (timed, cached per dataset). */
-  def hubPprModel(spec: DatasetSpec): Timed[HubPpr.Model] =
+  private[experiments] def hubPprModel(spec: DatasetSpec): Timed[HubPpr.Model] =
     hubCache.getOrElseUpdate(spec.name, {
       val g = Datasets.local(spec)
       time(HubPpr.preprocess(g, ExpConfig.c, ExpConfig.hubPprRmax, ExpConfig.hubPprHubs))

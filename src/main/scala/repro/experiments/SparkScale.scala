@@ -3,7 +3,6 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.{Cpi, CpiGraphX, TpaSpark}
 import repro.graph.{Datasets, DatasetSpec, GraphGen}
-import repro.metrics.Metrics
 
 import scala.collection.mutable
 
@@ -39,7 +38,6 @@ object SparkScale {
       release += (() => norm.unpersist())
       norm.count()
       val seed = Datasets.seedNodes(spec, 1).head
-      val ex = exact(g, spec, seed)
 
       val graph = CpiGraphX.build(spark, edges).cache()
       release += (() => graph.unpersist())
@@ -51,10 +49,10 @@ object SparkScale {
           release += (() => df.unpersist())
           df.count(); df
         }
-        val online = time {
-          Cpi.toDense(TpaSpark.online(engine, prep.value, c, spec.s, spec.t, seed.toLong, eps), spec.n)
+        val online = evaluate(g, Seq(seed)) { s =>
+          Cpi.toDense(TpaSpark.online(engine, prep.value, c, spec.s, spec.t, s.toLong, eps), spec.n)
         }
-        Row(name, prep.ms, online.ms, Metrics.l1(online.value, ex), Metrics.spearman(online.value, ex))
+        Row(name, prep.ms, online.ms, online.l1, online.spearman)
       }
     } finally release.foreach(_())
   }

@@ -104,11 +104,29 @@ object GraphGen {
   /** The edges of `g` as a (`src`, `dst`) DataFrame of longs, over the
     * default parallelism: the input of the Spark engines.
     */
-  def edgeFrame(spark: SparkSession, g: LocalGraph): DataFrame = {
+  def edgeFrame(spark: SparkSession, g: LocalGraph): DataFrame =
+    edgeFrame(spark, g, spark.sparkContext.defaultParallelism)
+
+  /** The edges of `g` in `parts` partitions: partition p holds the CSR
+    * edges [p·m/parts, (p+1)·m/parts) in CSR order. The CSR arrays are
+    * broadcast once and each task expands its own slice, so no task
+    * carries edges in its closure.
+    */
+  private[repro] def edgeFrame(spark: SparkSession, g: LocalGraph, parts: Int): DataFrame = {
     import spark.implicits._
-    val pairs = for (u <- 0 until g.n; k <- g.offsets(u) until g.offsets(u + 1))
-      yield (u.toLong, g.targets(k).toLong)
-    spark.sparkContext.parallelize(pairs, spark.sparkContext.defaultParallelism).toDF("src", "dst")
+    val sc = spark.sparkContext
+    val offsets = sc.broadcast(g.offsets)
+    val targets = sc.broadcast(g.targets)
+    val m = g.m.toLong
+    sc.parallelize(0 until parts, parts).flatMap { p =>
+      val off = offsets.value
+      val tgt = targets.value
+      var u = 0
+      Iterator.range((p * m / parts).toInt, ((p + 1) * m / parts).toInt).map { k =>
+        while (off(u + 1) <= k) u += 1
+        (u.toLong, tgt(k).toLong)
+      }
+    }.toDF("src", "dst")
   }
 
   /** Row-normalized weights: each edge (src, dst) gets `w = 1/outdeg(src)`,

@@ -66,12 +66,6 @@ class RpprSpec extends AnyFunSuite {
     assert(r.pushes <= 1)
   }
 
-  test("RPPR respects maxPushes cap") {
-    val g = graphs.head._2
-    val r = Rppr.rppr(g, 0, c, 1e-10, maxPushes = 5)
-    assert(r.pushes <= 5)
-  }
-
   test("coarse RPPR concentrates mass near the seed (locality)") {
     val g = GraphGen.communities(200, 5, 1200, 0.9, 23)
     val r = Rppr.rppr(g, 0, c, 1e-3).scores

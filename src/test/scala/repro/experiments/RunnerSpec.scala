@@ -1,9 +1,13 @@
 package repro.experiments
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{LocalCpi, Tpa}
+import repro.graph.GraphGen
+import repro.metrics.Metrics
 
-/** Harness plumbing: table rendering, formatting, timing, and the
-  * Section IV-A defaults in ExpConfig.
+/** Harness plumbing: table rendering, formatting, timing, the exact
+  * cache and the evaluation loop, and the Section IV-A defaults in
+  * ExpConfig.
   */
 class RunnerSpec extends AnyFunSuite {
 
@@ -30,6 +34,26 @@ class RunnerSpec extends AnyFunSuite {
     val t = Runner.time { Thread.sleep(10); 42 }
     assert(t.value == 42)
     assert(t.ms >= 5.0)
+  }
+
+  test("exact is cached per graph: one seed on two graphs gives each graph's vector") {
+    val (g1, g2) = (GraphGen.rmat(6, 300, 1), GraphGen.rmat(6, 300, 2))
+    val (r1, r2) = (Runner.exact(g1, 3), Runner.exact(g2, 3))
+    assert(r1.sameElements(LocalCpi.rwr(g1, 3, ExpConfig.c, ExpConfig.eps)))
+    assert(r2.sameElements(LocalCpi.rwr(g2, 3, ExpConfig.c, ExpConfig.eps)))
+    assert(!r1.sameElements(r2))
+    assert(Runner.exact(g1, 3) eq r1)
+  }
+
+  test("evaluate averages time, L1 and Spearman over the seeds") {
+    val g = GraphGen.rmat(6, 300, 1)
+    val approx = (s: Int) => Tpa.onlineNA(g, ExpConfig.c, 2, 5, s, ExpConfig.eps)
+    val e = Runner.evaluate(g, Seq(4, 9)) { s => Thread.sleep(5); approx(s) }
+    val ex = Seq(4, 9).map(LocalCpi.rwr(g, _, ExpConfig.c, ExpConfig.eps))
+    val (a4, a9) = (approx(4), approx(9))
+    assert(e.l1 == (Metrics.l1(a4, ex(0)) + Metrics.l1(a9, ex(1))) / 2)
+    assert(e.spearman == (Metrics.spearman(a4, ex(0)) + Metrics.spearman(a9, ex(1))) / 2)
+    assert(e.l1 > 0 && e.spearman > 0 && e.ms >= 5.0)
   }
 
   test("ExpConfig defaults follow Section IV-A") {

@@ -84,6 +84,17 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
+  test("edgeFrame partition p holds CSR edges [p·m/P, (p+1)·m/P) on 1, 3 and 8 partitions") {
+    // the slices `parallelize` cuts from the edge list in CSR order
+    for (g <- Seq(Datasets.local(Datasets.slashdot), TestGraphs.withDangling(100, 500, 3)); k <- Seq(1, 3, 8)) {
+      val pairs = edges(g).map { case (u, v) => (u.toLong, v.toLong) }
+      val want = spark.sparkContext.parallelize(pairs, k).glom().collect().map(_.toSeq).toSeq
+      val got = GraphGen.edgeFrame(spark, g, k).rdd.map(r => (r.getLong(0), r.getLong(1)))
+        .glom().collect().map(_.toSeq).toSeq
+      assert(got == want, s"n=${g.n} on $k partitions")
+    }
+  }
+
   private lazy val rmatDF = GraphGen.edgeFrame(spark, rmatG).cache()
 
   test("normalize: per-source weights sum to 1") {

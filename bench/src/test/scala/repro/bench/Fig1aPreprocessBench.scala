@@ -11,19 +11,20 @@ import repro.graph.Datasets
 class Fig1aPreprocessBench extends BenchBase {
 
   test("Fig 1(a): TPA preprocesses everywhere; dense methods only at the bottom") {
-    val rows = Experiments.fig1aPreprocess()
+    val rows = Experiments.preprocess
     banner("Fig 1(a): preprocessing time", Experiments.fig1aTable(rows))
     for (r <- rows) {
-      assert(r.tpaMs > 0, s"${r.dataset}: TPA preprocessing did not run")
+      val tpaMs = r.stats("TPA").get.ms
+      assert(tpaMs > 0, s"${r.dataset}: TPA preprocessing did not run")
       // TPA is faster than every preprocessing competitor that ran at all
-      r.nbLinMs.foreach(nb => assert(r.tpaMs < nb, s"${r.dataset}: TPA ${r.tpaMs} !< NB-LIN $nb"))
-      r.bearMs.foreach(bear => assert(r.tpaMs < bear, s"${r.dataset}: TPA ${r.tpaMs} !< BEAR $bear"))
+      for (m <- Seq("NB-LIN", "BEAR-APPROX"); p <- r.stats(m))
+        assert(tpaMs < p.ms, s"${r.dataset}: TPA $tpaMs !< $m ${p.ms}")
     }
     // paper: NB-LIN fails from Pokec onward, BEAR from Google onward
-    val byName = rows.map(r => r.dataset -> r).toMap
-    assert(byName(Datasets.pokec.name).nbLinMs.isEmpty)
-    assert(byName(Datasets.google.name).bearMs.isEmpty)
-    assert(byName(Datasets.slashdot.name).nbLinMs.nonEmpty)
-    assert(byName(Datasets.slashdot.name).bearMs.nonEmpty)
+    val byName = rows.map(r => r.dataset -> r.stats).toMap
+    assert(byName(Datasets.pokec.name)("NB-LIN").isEmpty)
+    assert(byName(Datasets.google.name)("BEAR-APPROX").isEmpty)
+    assert(byName(Datasets.slashdot.name)("NB-LIN").nonEmpty)
+    assert(byName(Datasets.slashdot.name)("BEAR-APPROX").nonEmpty)
   }
 }

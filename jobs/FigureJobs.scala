@@ -13,7 +13,7 @@ object DatasetStatsJob extends JobBase {
 /** Figure 1(a) — preprocessing time per method. */
 object PreprocessJob extends JobBase {
   val title = "Fig 1(a): preprocessing time"
-  def run(): String = Experiments.fig1aTable(Experiments.fig1aPreprocess())
+  def run(): String = Experiments.fig1aTable(Experiments.preprocess)
 }
 
 /** Figure 1(b) — online time per method. */
@@ -32,7 +32,7 @@ object AccuracyJob extends JobBase {
 /** Figure 3 — preprocessed-data memory per method. */
 object MemoryJob extends JobBase {
   val title = "Fig 3: preprocessed-data memory"
-  def run(): String = Experiments.fig3Table(Experiments.fig3Memory())
+  def run(): String = Experiments.fig3Table(Experiments.preprocess)
 }
 
 /** Figure 5 — stranger approximation effectiveness (TPA vs TPA-NA). */

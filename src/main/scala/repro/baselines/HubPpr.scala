@@ -115,6 +115,7 @@ object HubPpr {
   def fullVector(model: Model, g: LocalGraph, s: Int, walks: Int,
                  rng: scala.util.Random,
                  deadlineMs: Long = Long.MaxValue): (Array[Double], Boolean) = {
+    require(s >= 0 && s < g.n, s"seed $s out of range [0, ${g.n})")
     val endpoints = sampleEndpoints(g, s, model.c, walks, rng)
     val out = new Array[Double](g.n)
     val start = System.nanoTime()

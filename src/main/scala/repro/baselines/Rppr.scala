@@ -16,26 +16,20 @@ import repro.graph.LocalGraph
   * - BRPPR expands highest-residual nodes first until the total
   *   residual mass on the frontier drops below κ.
   *
-  * Both converge to the exact RWR as θ, κ → 0 (tested).
+  * Both converge to the exact RWR as θ, κ → 0 (tested). Each returns
+  * the score estimate `p`.
   */
 object Rppr {
 
-  /** Result of a push run: score estimate plus work counters (pushes ≈
-    * the paper's "amount of graph data accessed"). No exhibit reports the
-    * counters; the unit tests check them.
-    */
-  final case class Result(scores: Array[Double], pushes: Long, edgeTraversals: Long)
-
   /** RPPR: push every node with residual > theta until none remain. */
-  def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double): Result = {
+  def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double): Array[Double] = {
+    requireSeed(g, seed)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inQueue = new Array[Boolean](g.n)
     val queue = new java.util.ArrayDeque[Integer]()
     res(seed) = 1.0
     queue.add(seed); inQueue(seed) = true
-    var pushes = 0L
-    var traversals = 0L
     while (!queue.isEmpty) {
       val u = queue.poll().intValue()
       inQueue(u) = false
@@ -43,7 +37,6 @@ object Rppr {
       if (ru > theta) {
         res(u) = 0.0
         p(u) += c * ru
-        pushes += 1
         val d = g.outDeg(u)
         if (d > 0) {
           val share = (1.0 - c) * ru / d
@@ -52,14 +45,13 @@ object Rppr {
           while (j < end) {
             val v = g.targets(j)
             res(v) += share
-            traversals += 1
             if (!inQueue(v) && res(v) > theta) { queue.add(v); inQueue(v) = true }
             j += 1
           }
         }
       }
     }
-    Result(p, pushes, traversals)
+    p
   }
 
   /** BRPPR: push in (approximately) descending residual order until the
@@ -71,7 +63,8 @@ object Rppr {
     * depend on exact max-first order, so stale priorities are harmless
     * and the queue stays O(n) instead of O(edge traversals).
     */
-  def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double): Result = {
+  def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double): Array[Double] = {
+    requireSeed(g, seed)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inPq = new Array[Boolean](g.n)
@@ -80,8 +73,6 @@ object Rppr {
     res(seed) = 1.0
     pq.add((1.0, seed)); inPq(seed) = true
     var totalRes = 1.0
-    var pushes = 0L
-    var traversals = 0L
     while (totalRes >= kappa && !pq.isEmpty) {
       val u = pq.poll()._2
       inPq(u) = false
@@ -90,7 +81,6 @@ object Rppr {
         res(u) = 0.0
         p(u) += c * ru
         totalRes -= c * ru
-        pushes += 1
         val d = g.outDeg(u)
         if (d > 0) {
           val share = (1.0 - c) * ru / d
@@ -99,7 +89,6 @@ object Rppr {
           while (j < end) {
             val v = g.targets(j)
             res(v) += share
-            traversals += 1
             if (!inPq(v)) { pq.add((res(v), v)); inPq(v) = true }
             j += 1
           }
@@ -108,6 +97,9 @@ object Rppr {
         }
       }
     }
-    Result(p, pushes, traversals)
+    p
   }
+
+  private def requireSeed(g: LocalGraph, seed: Int): Unit =
+    require(seed >= 0 && seed < g.n, s"seed $seed out of range [0, ${g.n})")
 }

@@ -68,14 +68,6 @@ object LocalCpi {
   def rwr(g: LocalGraph, s: Int, c: Double, eps: Double = 1e-9): Array[Double] =
     run(g, unitSeed(g.n, s), c, eps, 0, Int.MaxValue)
 
-  /** Exact PageRank (CPI to convergence with uniform seed). */
-  def pagerank(g: LocalGraph, c: Double, eps: Double = 1e-9): Array[Double] =
-    run(g, uniformSeed(g.n), c, eps, 0, Int.MaxValue)
-
-  /** Number of iterations CPI needs to reach ‖x^(i)‖₁ = c(1-c)^i < eps. */
-  def itersToConverge(c: Double, eps: Double): Int =
-    math.ceil(math.log(eps / c) / math.log(1.0 - c)).toInt
-
   /** Rejects an unbounded window (tIter = ∞) whose tolerance ‖x^(i)‖₁ < eps
     * never holds: eps ≤ 0 or NaN. A finite window stops at tIter, so any
     * eps is legal there. Shared with the Spark engines.

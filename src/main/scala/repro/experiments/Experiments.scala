@@ -26,7 +26,7 @@ object Experiments {
   /** Table II: realized analog statistics next to the paper's graphs. */
   def tableII(): Seq[TableIIRow] =
     Datasets.all.map { spec =>
-      val g = Datasets.local(spec)
+      val g = spec.graph
       TableIIRow(spec, g.n, g.m, (0 until g.n).count(g.outDeg(_) == 0), g.fingerprint)
     }
 
@@ -36,22 +36,43 @@ object Experiments {
                         r.spec.paperNodes.toString, r.spec.paperEdges.toString,
                         r.spec.s.toString, r.spec.t.toString, r.fingerprint)))
 
-  // ---- Figure 1(a): preprocessing time ----
+  // ---- Figures 1(a) and 3: preprocessing time and memory ----
 
-  /** Each method's preprocessing time; None where its gate rules it out (OOT). */
-  final case class Fig1aRow(dataset: String, tpaMs: Double, nbLinMs: Option[Double],
-                            bearMs: Option[Double], hubPprMs: Double)
+  /** One method's preprocessing time and preprocessed bytes. */
+  final case class Prep(ms: Double, bytes: Long)
 
-  def fig1aPreprocess(): Seq[Fig1aRow] =
-    Datasets.all.map { spec =>
-      Fig1aRow(spec.name, tpaModel(spec).ms, nbLinModel(spec).map(_.ms),
-               bearModel(spec).map(_.ms), hubPprModel(spec).ms)
-    }
+  /** Every preprocessing method's [[Prep]] on one dataset, by method name,
+    * next to the bytes of the CSR input; None where the method's gate
+    * rules it out (OOT).
+    */
+  final case class PreprocessRow(dataset: String, graphBytes: Long, stats: Map[String, Option[Prep]])
 
-  def fig1aTable(rows: Seq[Fig1aRow]): String =
-    table(Seq("dataset", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"),
-      rows.map(r => Seq(r.dataset, fmtMs(r.tpaMs), orOot(r.nbLinMs)(fmtMs),
-                        orOot(r.bearMs)(fmtMs), fmtMs(r.hubPprMs))))
+  /** The preprocessing rows of every analog, computed once: Figs 1(a) and
+    * 3 both read them.
+    */
+  lazy val preprocess: Seq[PreprocessRow] = Datasets.all.map { spec =>
+    val m = models(spec)
+    PreprocessRow(spec.name,
+      8L * spec.graph.m, // shared input (CSR edges), charged to all
+      Map("TPA" -> Some(Prep(m.tpa.ms, m.tpa.value.memoryBytes)),
+          "NB-LIN" -> m.nbLin.map(t => Prep(t.ms, t.value.memoryBytes)),
+          "BEAR-APPROX" -> m.bear.map(t => Prep(t.ms, t.value.memoryBytes)),
+          "HubPPR" -> Some(Prep(m.hubPpr.ms, m.hubPpr.value.memoryBytes))))
+  }
+
+  private val preprocessMethods = Seq("TPA", "NB-LIN", "BEAR-APPROX", "HubPPR")
+
+  private def cells(r: PreprocessRow)(col: Prep => String): Seq[String] =
+    preprocessMethods.map(m => orOot(r.stats(m))(col))
+
+  /** Figure 1(a): preprocessing time. */
+  def fig1aTable(rows: Seq[PreprocessRow]): String =
+    table("dataset" +: preprocessMethods, rows.map(r => r.dataset +: cells(r)(p => fmtMs(p.ms))))
+
+  /** Figure 3: preprocessed-data memory, after the CSR input's. */
+  def fig3Table(rows: Seq[PreprocessRow]): String =
+    table(Seq("dataset", "(graph)") ++ preprocessMethods,
+      rows.map(r => Seq(r.dataset, fmtBytes(r.graphBytes)) ++ cells(r)(p => fmtBytes(p.bytes))))
 
   // ---- Figure 1(b)/(c), Figures 4 and 5: online time / L1 / Spearman ----
 
@@ -66,29 +87,31 @@ object Experiments {
   lazy val online: Seq[OnlineRow] = Datasets.all.map(onlineRow)
 
   private def onlineRow(spec: DatasetSpec): OnlineRow = {
-    val g = Datasets.local(spec)
+    val g = spec.graph
     val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
     def on(run: Int => Array[Double]): Option[Eval] = Some(evaluate(g, seeds)(run))
-    val tpa = tpaModel(spec).value
+    val m = models(spec)
     OnlineRow(spec.name, Map(
-      "TPA" -> on(Tpa.online(g, tpa, spec.s, _, ExpConfig.eps)),
+      "TPA" -> on(Tpa.online(g, m.tpa.value, spec.s, _, ExpConfig.eps)),
       "TPA-NA" -> on(Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, _, ExpConfig.eps)),
-      "RPPR" -> on(Rppr.rppr(g, _, ExpConfig.c, ExpConfig.rpprTheta).scores),
-      "BRPPR" -> on(Rppr.brppr(g, _, ExpConfig.c, ExpConfig.brpprKappa).scores),
-      "NB-LIN" -> nbLinModel(spec).flatMap(m => on(NbLin.query(m.value, _))),
-      "BEAR-APPROX" -> bearModel(spec).flatMap(m => on(BearApprox.query(m.value, _))),
+      "RPPR" -> on(Rppr.rppr(g, _, ExpConfig.c, ExpConfig.rpprTheta)),
+      "BRPPR" -> on(Rppr.brppr(g, _, ExpConfig.c, ExpConfig.brpprKappa)),
+      "NB-LIN" -> m.nbLin.flatMap(nb => on(NbLin.query(nb.value, _))),
+      "BEAR-APPROX" -> m.bear.flatMap(bear => on(BearApprox.query(bear.value, _))),
       "HubPPR" -> Option.when(spec.n <= ExpConfig.hubPprOnlineMaxN) {
-        val m = hubPprModel(spec).value
+        val hub = m.hubPpr.value
         val rng = new scala.util.Random(7)
         evaluate(g, seeds.take(ExpConfig.hubPprSeeds)) { s =>
-          HubPpr.fullVector(m, g, s, ExpConfig.hubPprWalks, rng, ExpConfig.hubPprDeadlineMs)._1
+          HubPpr.fullVector(hub, g, s, ExpConfig.hubPprWalks, rng, ExpConfig.hubPprDeadlineMs)._1
         }
       }))
   }
 
+  /** HubPPR averages [[ExpConfig.hubPprSeeds]] seeds, not [[ExpConfig.numSeeds]], and its header says so. */
   private def onlineTable(rows: Seq[OnlineRow], metric: String)(col: Eval => String): String = {
     val methods = Seq("TPA", "RPPR", "BRPPR", "NB-LIN", "BEAR-APPROX", "HubPPR")
-    table(s"dataset ($metric)" +: methods,
+    val headers = methods.map(m => if (m == "HubPPR") s"$m (${ExpConfig.hubPprSeeds} seeds)" else m)
+    table(s"dataset ($metric)" +: headers,
       rows.map(r => r.dataset +: methods.map(m => orOot(r.stats(m))(col))))
   }
 
@@ -106,30 +129,6 @@ object Experiments {
         Seq(r.dataset, fmtSci(tpa.l1), fmtSci(na.l1), f"${tpa.spearman}%.4f", f"${na.spearman}%.4f")
       })
 
-  // ---- Figure 3: preprocessed-data memory ----
-
-  /** Each method's preprocessed bytes next to the CSR input's; None where
-    * the method's gate rules it out (OOT).
-    */
-  final case class Fig3Row(dataset: String, graphBytes: Long, tpaBytes: Long,
-                           nbLinBytes: Option[Long], bearBytes: Option[Long], hubPprBytes: Long)
-
-  def fig3Memory(): Seq[Fig3Row] =
-    Datasets.all.map { spec =>
-      Fig3Row(spec.name,
-              8L * Datasets.local(spec).m, // shared input (CSR edges), charged to all
-              tpaModel(spec).value.memoryBytes,
-              nbLinModel(spec).map(_.value.memoryBytes),
-              bearModel(spec).map(_.value.memoryBytes),
-              hubPprModel(spec).value.memoryBytes)
-    }
-
-  def fig3Table(rows: Seq[Fig3Row]): String =
-    table(Seq("dataset", "(graph)", "TPA", "NB-LIN", "BEAR-APPROX", "HubPPR"),
-      rows.map(r => Seq(r.dataset, fmtBytes(r.graphBytes), fmtBytes(r.tpaBytes),
-                        orOot(r.nbLinBytes)(fmtBytes), orOot(r.bearBytes)(fmtBytes),
-                        fmtBytes(r.hubPprBytes))))
-
   // ---- Figure 6: neighbor approximation, real-like vs random graphs ----
 
   /** TPA-NA's mean L1 error and Spearman on an analog and on its
@@ -143,8 +142,8 @@ object Experiments {
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       def tpaNA(g: LocalGraph): Eval =
         evaluate(g, seeds)(Tpa.onlineNA(g, ExpConfig.c, spec.s, spec.t, _, ExpConfig.eps))
-      val real = tpaNA(Datasets.local(spec))
-      val rand = tpaNA(Datasets.randomCounterpartLocal(spec))
+      val real = tpaNA(spec.graph)
+      val rand = tpaNA(spec.randomCounterpart)
       Fig6Row(spec.name, real.l1, rand.l1, real.spearman, rand.spearman)
     }
 
@@ -164,8 +163,8 @@ object Experiments {
     */
   def fig7SSweep(): Seq[Fig7Row] =
     Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
-      val g = Datasets.local(spec)
-      val model = tpaModel(spec).value
+      val g = spec.graph
+      val model = models(spec).tpa.value
       require(model.t == 10, s"${spec.name}: Fig 7 fixes T = 10, the model has T = ${model.t}")
       val seeds = Datasets.seedNodes(spec, ExpConfig.numSeeds)
       (1 to 8).map { sVal =>
@@ -194,7 +193,7 @@ object Experiments {
     */
   def fig8TSweep(): Seq[Fig8Row] =
     Seq(Datasets.livejournal, Datasets.pokec).flatMap { spec =>
-      tSweep(spec.name, Datasets.local(spec), Datasets.seedNodes(spec, ExpConfig.numSeeds))
+      tSweep(spec.name, spec.graph, Datasets.seedNodes(spec, ExpConfig.numSeeds))
     } ++ tSweep("sbm-community", sbm, Seq(1, 100, 2000, 3000, 4001))
 
   private def tSweep(name: String, g: LocalGraph, seeds: Seq[Int]): Seq[Fig8Row] =

@@ -1,7 +1,7 @@
 package repro.experiments
 
 import repro.core.{LocalCpi, Tpa}
-import repro.graph.{Datasets, DatasetSpec, LocalGraph}
+import repro.graph.{DatasetSpec, LocalGraph}
 import repro.baselines.{BearApprox, HubPpr, NbLin}
 import repro.metrics.Metrics
 
@@ -9,8 +9,8 @@ import scala.collection.mutable
 
 /** Shared measurement machinery: wall-clock timing, markdown table
   * formatting, the one evaluation loop every exhibit scores a method
-  * with, and caches of exact vectors and preprocessed models so the
-  * per-figure experiments don't redo work.
+  * with, and memos of exact vectors and of each analog's preprocessed
+  * models so the per-figure experiments don't redo work.
   */
 object Runner {
 
@@ -57,53 +57,39 @@ object Runner {
          mean(pairs.map { case (v, ex) => Metrics.spearman(v, ex) }))
   }
 
-  // ---- caches (benches run sequentially in one JVM) ----
+  // ---- memos (benches run sequentially in one JVM) ----
 
   private val exactCache = mutable.Map.empty[(LocalGraph, Int), Array[Double]]
-  private val tpaCache = mutable.Map.empty[String, Timed[Tpa.Model]]
-  private val nbLinCache = mutable.Map.empty[String, Option[Timed[NbLin.Model]]]
-  private val bearCache = mutable.Map.empty[String, Option[Timed[BearApprox.Model]]]
-  private val hubCache = mutable.Map.empty[String, Timed[HubPpr.Model]]
+  private val modelCache = mutable.Map.empty[DatasetSpec, Models]
 
   /** Exact RWR vector (ground truth; CPI to ε = 1e-9), cached per graph
-    * object and seed. [[LocalGraph]] compares by reference, and
-    * [[Datasets]] builds each graph once.
+    * object and seed. [[LocalGraph]] compares by reference, and each
+    * [[DatasetSpec]] builds its graphs once.
     */
   def exact(g: LocalGraph, seed: Int): Array[Double] =
     exactCache.getOrElseUpdate((g, seed), LocalCpi.rwr(g, seed, ExpConfig.c, ExpConfig.eps))
 
-  /** TPA preprocessing (timed, cached per dataset). */
-  private[experiments] def tpaModel(spec: DatasetSpec): Timed[Tpa.Model] =
-    tpaCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spec)
-      time(Tpa.preprocess(g, ExpConfig.c, ExpConfig.eps, spec.t))
-    })
+  /** The analog's model set, one per spec. */
+  private[experiments] def models(spec: DatasetSpec): Models =
+    modelCache.getOrElseUpdate(spec, new Models(spec))
 
-  /** NB-LIN preprocessing; None when gated out (OOT in the paper). */
-  private[experiments] def nbLinModel(spec: DatasetSpec): Option[Timed[NbLin.Model]] =
-    nbLinCache.getOrElseUpdate(spec.name, {
-      if (spec.n > ExpConfig.nbLinMaxN) None
-      else {
-        val g = Datasets.local(spec)
-        Some(time(NbLin.preprocess(g, ExpConfig.c, ExpConfig.nbLinRank)))
-      }
-    })
+  /** Every preprocessing method's model on one analog's graph, each built
+    * and timed on first read. A method whose gate rules the analog out is
+    * None (OOT in the paper) and never built.
+    */
+  final class Models private[Runner] (spec: DatasetSpec) {
+    import ExpConfig._
+    private def g = spec.graph
 
-  /** BEAR-APPROX preprocessing; None when gated out (OOT in the paper). */
-  private[experiments] def bearModel(spec: DatasetSpec): Option[Timed[BearApprox.Model]] =
-    bearCache.getOrElseUpdate(spec.name, {
-      if (spec.n > ExpConfig.bearMaxN) None
-      else {
-        val g = Datasets.local(spec)
-        val dropTol = 1.0 / math.sqrt(spec.n.toDouble)
-        Some(time(BearApprox.preprocess(g, ExpConfig.c, ExpConfig.bearHubFrac, dropTol)))
-      }
-    })
+    lazy val tpa: Timed[Tpa.Model] = time(Tpa.preprocess(g, c, eps, spec.t))
 
-  /** HubPPR hub-index preprocessing (timed, cached per dataset). */
-  private[experiments] def hubPprModel(spec: DatasetSpec): Timed[HubPpr.Model] =
-    hubCache.getOrElseUpdate(spec.name, {
-      val g = Datasets.local(spec)
-      time(HubPpr.preprocess(g, ExpConfig.c, ExpConfig.hubPprRmax, ExpConfig.hubPprHubs))
-    })
+    lazy val nbLin: Option[Timed[NbLin.Model]] =
+      Option.when(spec.n <= nbLinMaxN)(time(NbLin.preprocess(g, c, nbLinRank)))
+
+    /** The drop tolerance is the paper's n^-1/2. */
+    lazy val bear: Option[Timed[BearApprox.Model]] =
+      Option.when(spec.n <= bearMaxN)(time(BearApprox.preprocess(g, c, bearHubFrac, 1.0 / math.sqrt(spec.n.toDouble))))
+
+    lazy val hubPpr: Timed[HubPpr.Model] = time(HubPpr.preprocess(g, c, hubPprRmax, hubPprHubs))
+  }
 }

@@ -24,14 +24,14 @@ object SparkScale {
                        l1: Double, spearman: Double)
 
   /** Both engines on `spec` through [[TpaSpark]], DataFrame first, over
-    * the edges of the driver graph [[Datasets.local]]. Every DataFrame and
+    * the edges of the driver graph `spec.graph`. Every DataFrame and
     * graph it caches is released before it returns, also on failure.
     */
   def run(spark: SparkSession, spec: DatasetSpec): Seq[Row] = {
     val c = ExpConfig.c; val eps = ExpConfig.eps
     val release = mutable.ArrayBuffer.empty[() => Unit]
     try {
-      val g = Datasets.local(spec)
+      val g = spec.graph
       val edges = GraphGen.edgeFrame(spark, g).persist()
       release += (() => edges.unpersist())
       val norm = GraphGen.normalize(edges).persist()

@@ -21,6 +21,16 @@ final case class DatasetSpec(
     /** Generator seed (fixed per dataset for determinism). */
     seed: Long) {
   def n: Int = 1 << scale
+
+  /** Driver-side CSR of the analog (dangling-patched), built on first read. */
+  lazy val graph: LocalGraph = GraphGen.rmat(scale, mTarget, seed)
+
+  /** Erdős–Rényi counterpart with (approximately) the same n and m as
+    * [[graph]] — the Figure 6 "random graph" — built on first read.
+    */
+  lazy val randomCounterpart: LocalGraph =
+    // ER dedup loses a few draws; oversample 2% to land near m.
+    GraphGen.erdosRenyi(n, (graph.m * 1.02).toLong, seed + 5000)
 }
 
 object Datasets {
@@ -36,22 +46,6 @@ object Datasets {
   /** All analogs, smallest first (bench iteration order). */
   val all: Seq[DatasetSpec] =
     Seq(slashdot, google, pokec, livejournal, wikilink, twitter, friendster)
-
-  private val cache = scala.collection.mutable.Map.empty[String, LocalGraph]
-
-  /** Driver-side CSR of a dataset analog (dangling-patched), cached. */
-  def local(spec: DatasetSpec): LocalGraph = synchronized {
-    cache.getOrElseUpdate(spec.name, GraphGen.rmat(spec.scale, spec.mTarget, spec.seed))
-  }
-
-  /** Erdős–Rényi counterpart with (approximately) the same n and m as the
-    * analog — the Figure 6 "random graph" — cached.
-    */
-  def randomCounterpartLocal(spec: DatasetSpec): LocalGraph = synchronized {
-    val m = local(spec).m
-    // ER dedup loses a few draws; oversample 2% to land near m.
-    cache.getOrElseUpdate(spec.name + "-er", GraphGen.erdosRenyi(spec.n, (m * 1.02).toLong, spec.seed + 5000))
-  }
 
   /** Deterministic sample of `k` seed nodes for a dataset (every node has
     * out-degree ≥ 1 after the dangling patch, so any node is a valid seed).

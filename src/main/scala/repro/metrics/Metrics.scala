@@ -16,13 +16,6 @@ object Metrics {
     s
   }
 
-  /** ‖a‖₁. */
-  def norm1(a: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < a.length) { s += math.abs(a(i)); i += 1 }
-    s
-  }
-
   /** Mid-ranks (average rank for ties), 1-based, ascending by value. */
   def ranks(a: Array[Double]): Array[Double] = {
     val n = a.length

@@ -2,9 +2,10 @@ package repro
 
 import repro.graph.{GraphGen, LocalGraph}
 
-/** Deterministic driver-side graph builders for unit tests (no Spark).
-  * All but [[withDangling]] are dangling-free so the paper's norm lemmas
-  * hold exactly; the SBM builder is [[GraphGen.communities]].
+/** Deterministic driver-side graph builders for unit tests (no Spark),
+  * plus two vector helpers. All but [[withDangling]] are dangling-free so
+  * the paper's norm lemmas hold exactly; the SBM builder is
+  * [[GraphGen.communities]].
   */
 object TestGraphs {
 
@@ -49,4 +50,7 @@ object TestGraphs {
     val h = DenseMatrix.eye[Double](g.n) - w
     (inv(h) * (DenseVector(q) *:* c)).toArray
   }
+
+  /** ‖a‖₁. */
+  def norm1(a: Array[Double]): Double = a.map(math.abs).sum
 }

@@ -66,7 +66,13 @@ class BearApproxSpec extends AnyFunSuite {
     val g = graphs.head._2
     val model = BearApprox.preprocess(g, c, 0.2, 0.0)
     val r = BearApprox.query(model, 7)
-    assert(math.abs(Metrics.norm1(r) - 1.0) < 1e-8)
+    assert(math.abs(TestGraphs.norm1(r) - 1.0) < 1e-8)
     assert(r.forall(_ >= -1e-12))
+  }
+
+  test("query rejects a seed outside [0, n)") {
+    val g = TestGraphs.cycle(6)
+    val model = BearApprox.preprocess(g, c, 0.2, 0.0)
+    for (seed <- Seq(-1, 6)) intercept[IllegalArgumentException](BearApprox.query(model, seed))
   }
 }

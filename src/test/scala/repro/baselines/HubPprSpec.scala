@@ -92,6 +92,12 @@ class HubPprSpec extends AnyFunSuite {
     assert(timedOut)
   }
 
+  test("fullVector rejects a seed outside [0, n)") {
+    val model = HubPpr.Model(Map.empty, c, 1e-3)
+    for (seed <- Seq(-1, g.n))
+      intercept[IllegalArgumentException](HubPpr.fullVector(model, g, seed, 10, new scala.util.Random(6)))
+  }
+
   test("memoryBytes counts stored index entries") {
     val model = HubPpr.preprocess(g, c, 1e-3, numHubs = 3)
     val expected = model.index.values.map(pr => 12L * (pr.p.size + pr.res.size)).sum

@@ -50,6 +50,12 @@ class NbLinSpec extends AnyFunSuite {
     assert(NbLin.query(model, 5)(5) >= c - 1e-9)
   }
 
+  test("query rejects a seed outside [0, n)") {
+    val g = TestGraphs.cycle(6)
+    val model = NbLin.preprocess(g, c, g.n)
+    for (seed <- Seq(-1, 6)) intercept[IllegalArgumentException](NbLin.query(model, seed))
+  }
+
   test("memoryBytes counts dense U, Λ, V") {
     val g = graphs.head._2
     val k = 7

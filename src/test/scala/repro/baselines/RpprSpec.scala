@@ -21,7 +21,7 @@ class RpprSpec extends AnyFunSuite {
   for ((name, g) <- graphs; seed <- Seq(0, 7, 13)) {
     test(s"RPPR converges to exact RWR as θ→0 on $name seed $seed") {
       val exact = LocalCpi.rwr(g, seed, c, 1e-12)
-      val approx = Rppr.rppr(g, seed, c, theta = 1e-10).scores
+      val approx = Rppr.rppr(g, seed, c, theta = 1e-10)
       // residual ≤ θ per node ⇒ total error ≤ n·θ
       assert(Metrics.l1(exact, approx) <= g.n * 1e-10 + 1e-9)
     }
@@ -30,8 +30,8 @@ class RpprSpec extends AnyFunSuite {
   for ((name, g) <- graphs; seed <- Seq(0, 5)) {
     test(s"RPPR error shrinks with θ on $name seed $seed") {
       val exact = LocalCpi.rwr(g, seed, c, 1e-12)
-      val coarse = Metrics.l1(exact, Rppr.rppr(g, seed, c, 1e-2).scores)
-      val fine = Metrics.l1(exact, Rppr.rppr(g, seed, c, 1e-6).scores)
+      val coarse = Metrics.l1(exact, Rppr.rppr(g, seed, c, 1e-2))
+      val fine = Metrics.l1(exact, Rppr.rppr(g, seed, c, 1e-6))
       assert(fine <= coarse + 1e-12)
     }
   }
@@ -39,7 +39,7 @@ class RpprSpec extends AnyFunSuite {
   for ((name, g) <- graphs; kappa <- Seq(1e-1, 1e-2, 1e-4); seed = 3) {
     test(s"BRPPR error ≤ κ=$kappa on $name (push invariant)") {
       val exact = LocalCpi.rwr(g, seed, c, 1e-12)
-      val approx = Rppr.brppr(g, seed, c, kappa).scores
+      val approx = Rppr.brppr(g, seed, c, kappa)
       // r_exact − p = Σ_v res(v)·rwr_v, and each rwr_v has L1 norm ≤ 1,
       // so ‖error‖₁ ≤ total residual < κ at termination.
       assert(Metrics.l1(exact, approx) <= kappa + 1e-9)
@@ -49,26 +49,29 @@ class RpprSpec extends AnyFunSuite {
   for ((name, g) <- graphs) {
     test(s"RPPR estimate is a sub-probability vector on $name") {
       val r = Rppr.rppr(g, 1, c, 1e-4)
-      assert(r.scores.forall(_ >= 0.0))
-      assert(Metrics.norm1(r.scores) <= 1.0 + 1e-9)
+      assert(r.forall(_ >= 0.0))
+      assert(TestGraphs.norm1(r) <= 1.0 + 1e-9)
     }
-  }
-
-  test("RPPR counts pushes and edge traversals") {
-    val g = graphs.head._2
-    val r = Rppr.rppr(g, 0, c, 1e-6)
-    assert(r.pushes > 0 && r.edgeTraversals >= r.pushes)
   }
 
   test("BRPPR with κ ≥ 1 does almost no work") {
     val g = graphs.head._2
     val r = Rppr.brppr(g, 0, c, kappa = 1.0)
-    assert(r.pushes <= 1)
+    // one push, of the seed: c stays there, the rest is left as residual
+    assert(r(0) == c && r.count(_ != 0.0) == 1)
+  }
+
+  test("RPPR and BRPPR reject a seed outside [0, n)") {
+    val g = graphs.head._2
+    for (seed <- Seq(-1, g.n)) {
+      intercept[IllegalArgumentException](Rppr.rppr(g, seed, c, 1e-4))
+      intercept[IllegalArgumentException](Rppr.brppr(g, seed, c, 1e-3))
+    }
   }
 
   test("coarse RPPR concentrates mass near the seed (locality)") {
     val g = GraphGen.communities(200, 5, 1200, 0.9, 23)
-    val r = Rppr.rppr(g, 0, c, 1e-3).scores
+    val r = Rppr.rppr(g, 0, c, 1e-3)
     // the seed retains the single largest score
     assert(r(0) == r.max)
   }

@@ -23,6 +23,10 @@ class LocalCpiSpec extends AnyFunSuite {
     "communities-240" -> GraphGen.communities(240, 6, 1400, 0.85, 2),
     "cycle-50" -> TestGraphs.cycle(50))
 
+  /** Exact PageRank: CPI to convergence from the uniform seed. */
+  private def pagerank(g: LocalGraph, eps: Double): Array[Double] =
+    LocalCpi.run(g, LocalCpi.uniformSeed(g.n), c, eps, 0, Int.MaxValue)
+
   for ((name, g) <- graphs; seed <- Seq(0, 3, 7, 11, 19, 23, 42 % g.n, 13, 17, 29)) {
     test(s"Theorem 1: CPI equals power iteration on $name seed $seed") {
       val cpi = LocalCpi.rwr(g, seed, c, eps)
@@ -42,14 +46,14 @@ class LocalCpiSpec extends AnyFunSuite {
   for ((name, g) <- graphs; seed <- Seq(1, 4)) {
     test(s"RWR vector sums to 1 on dangling-free $name seed $seed") {
       val r = LocalCpi.rwr(g, seed, c, eps)
-      assert(math.abs(Metrics.norm1(r) - 1.0) < 1e-7)
+      assert(math.abs(TestGraphs.norm1(r) - 1.0) < 1e-7)
     }
   }
 
   for ((name, g) <- graphs) {
     test(s"PageRank vector sums to 1 on $name") {
-      val p = LocalCpi.pagerank(g, c, eps)
-      assert(math.abs(Metrics.norm1(p) - 1.0) < 1e-7)
+      val p = pagerank(g, eps)
+      assert(math.abs(TestGraphs.norm1(p) - 1.0) < 1e-7)
     }
   }
 
@@ -57,7 +61,7 @@ class LocalCpiSpec extends AnyFunSuite {
     test(s"Lemma 3: family norm is 1-(1-c)^S for S=$s") {
       val g = graphs.head._2
       val fam = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 0), c, 0.0, 0, s - 1)
-      assert(math.abs(Metrics.norm1(fam) - (1 - math.pow(1 - c, s))) < 1e-10)
+      assert(math.abs(TestGraphs.norm1(fam) - (1 - math.pow(1 - c, s))) < 1e-10)
     }
   }
 
@@ -66,7 +70,7 @@ class LocalCpiSpec extends AnyFunSuite {
       val g = graphs(1)._2
       val nbr = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 5), c, 0.0, s, t - 1)
       val expected = math.pow(1 - c, s) - math.pow(1 - c, t)
-      assert(math.abs(Metrics.norm1(nbr) - expected) < 1e-10)
+      assert(math.abs(TestGraphs.norm1(nbr) - expected) < 1e-10)
     }
   }
 
@@ -87,14 +91,14 @@ class LocalCpiSpec extends AnyFunSuite {
     val g = graphs.head._2
     for (i <- 0 until 8) {
       val xi = LocalCpi.run(g, LocalCpi.unitSeed(g.n, 3), c, 0.0, i, i)
-      assert(math.abs(Metrics.norm1(xi) - c * math.pow(1 - c, i)) < 1e-10)
+      assert(math.abs(TestGraphs.norm1(xi) - c * math.pow(1 - c, i)) < 1e-10)
     }
   }
 
   test("dangling node leaks mass: RWR sums below 1") {
     val g = TestGraphs.withDangling(100, 500, 3)
     val r = LocalCpi.rwr(g, 0, c, eps)
-    assert(Metrics.norm1(r) < 1.0 - 1e-6)
+    assert(TestGraphs.norm1(r) < 1.0 - 1e-6)
   }
 
   test("tIter < 0 yields the zero vector") {
@@ -115,18 +119,12 @@ class LocalCpiSpec extends AnyFunSuite {
     val q = LocalCpi.unitSeed(g.n, 2)
     val tail = LocalCpi.run(g, q, c, 0.0, 3, 5)
     val expected = math.pow(1 - c, 3) - math.pow(1 - c, 6)
-    assert(math.abs(Metrics.norm1(tail) - expected) < 1e-10)
-  }
-
-  test("itersToConverge matches the analytic decay") {
-    val iters = LocalCpi.itersToConverge(c, 1e-9)
-    assert(c * math.pow(1 - c, iters) < 1e-9)
-    assert(c * math.pow(1 - c, iters - 2) >= 1e-9)
+    assert(math.abs(TestGraphs.norm1(tail) - expected) < 1e-10)
   }
 
   test("uniform seed equals averaging unit-seed RWRs (linearity)") {
     val g = TestGraphs.random(40, 200, 9)
-    val pr = LocalCpi.pagerank(g, c, eps)
+    val pr = pagerank(g, eps)
     val avg = new Array[Double](g.n)
     for (s <- 0 until g.n) {
       val r = LocalCpi.rwr(g, s, c, eps)
@@ -149,7 +147,7 @@ class LocalCpiSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](LocalCpi.run(g, q, c, e, 0, Int.MaxValue))
       intercept[IllegalArgumentException](LocalCpi.run(g, q, c, e, 4, Int.MaxValue))
       intercept[IllegalArgumentException](LocalCpi.rwr(g, 0, c, e))
-      intercept[IllegalArgumentException](LocalCpi.pagerank(g, c, e))
+      intercept[IllegalArgumentException](pagerank(g, e))
       intercept[IllegalArgumentException](Tpa.preprocess(g, c, e, 5))
     }
     val r = LocalCpi.run(g, q, c, 0.0, 0, 30)
@@ -224,7 +222,7 @@ class LocalCpiSpec extends AnyFunSuite {
       val (r, dense) = kernel(g, q, 0, tIter)
       assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
       val leakFree = if (tIter == Int.MaxValue) 1.0 else 1.0 - math.pow(1 - c, tIter + 1)
-      assert(Metrics.norm1(r) < leakFree - 1e-6)
+      assert(TestGraphs.norm1(r) < leakFree - 1e-6)
       dense
     }
     assert(modes.toSet == Set(false, true))
@@ -281,7 +279,7 @@ class LocalCpiSpec extends AnyFunSuite {
       val (r, dense) = kernel(g, q, 0, Int.MaxValue)
       assert(dense)
       assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
-      assert(Metrics.norm1(r) < 1.0 - 1e-6)
+      assert(TestGraphs.norm1(r) < 1.0 - 1e-6)
     }
   }
 

@@ -62,8 +62,8 @@ class TpaSpec extends AnyFunSuite {
     test(s"neighborFactor closed form equals Lemma-3 norm ratio (S=$s, T=$t)") {
       val g = graphs.head._2
       val q = LocalCpi.unitSeed(g.n, 9)
-      val famN = Metrics.norm1(LocalCpi.run(g, q, c, 0.0, 0, s - 1))
-      val nbrN = Metrics.norm1(LocalCpi.run(g, q, c, 0.0, s, t - 1))
+      val famN = TestGraphs.norm1(LocalCpi.run(g, q, c, 0.0, 0, s - 1))
+      val nbrN = TestGraphs.norm1(LocalCpi.run(g, q, c, 0.0, s, t - 1))
       assert(math.abs(Tpa.neighborFactor(c, s, t) - nbrN / famN) < 1e-9)
     }
   }
@@ -84,7 +84,7 @@ class TpaSpec extends AnyFunSuite {
       val model = Tpa.preprocess(g, c, eps, 10)
       val tpa = Tpa.online(g, model, 4, 0, eps)
       // ‖family‖+‖neighbor~‖ = 1-(1-c)^T exactly; ‖stranger~‖ = (1-c)^T
-      assert(math.abs(Metrics.norm1(tpa) - 1.0) < 1e-7)
+      assert(math.abs(TestGraphs.norm1(tpa) - 1.0) < 1e-7)
     }
   }
 
@@ -98,7 +98,7 @@ class TpaSpec extends AnyFunSuite {
   test("stranger norm equals (1-c)^T on dangling-free graphs") {
     val g = graphs(1)._2
     val model = Tpa.preprocess(g, c, eps, 8)
-    assert(math.abs(Metrics.norm1(model.stranger) - math.pow(1 - c, 8)) < 1e-7)
+    assert(math.abs(TestGraphs.norm1(model.stranger) - math.pow(1 - c, 8)) < 1e-7)
   }
 
   test("accuracy improves as S grows (bound and measured, averaged over seeds)") {

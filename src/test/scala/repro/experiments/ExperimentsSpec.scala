@@ -20,8 +20,13 @@ class ExperimentsSpec extends AnyFunSuite {
       "| slashdot-s | 1024 | 6086 | 82144 | 549202 | 4 | 15 | n=1024 m=6086 edge_hash=64dd5a2d09be8a2f |\n")
   }
 
+  /** Fig 1(a)'s and Fig 3's data line for google-s: NB-LIN ran, BEAR-APPROX is gated. */
+  private val preprocessRow = PreprocessRow("google-s", 89904L, Map(
+    "TPA" -> Some(Prep(12.41, 16384L)), "NB-LIN" -> Some(Prep(30622.0, 3356800L)),
+    "BEAR-APPROX" -> None, "HubPPR" -> Some(Prep(340.6, 3083000L))))
+
   test("Fig 1(a) table: preprocessing time per method, OOT where gated") {
-    assert(Experiments.fig1aTable(Seq(Fig1aRow("google-s", 12.41, Some(30622.0), None, 340.6))) ==
+    assert(Experiments.fig1aTable(Seq(preprocessRow)) ==
       "| dataset | TPA | NB-LIN | BEAR-APPROX | HubPPR |\n" +
       "| --- | --- | --- | --- | --- |\n" +
       "| google-s | 12.4 ms | 30622.0 ms | OOT | 340.6 ms |\n")
@@ -32,7 +37,7 @@ class ExperimentsSpec extends AnyFunSuite {
       "TPA" -> Some(Eval(0.2, 0.8436, 0.964)), "TPA-NA" -> Some(Eval(0.3, 0.8449, 0.5179)),
       "RPPR" -> Some(Eval(1.7, 0.06157, 0.988)), "BRPPR" -> Some(Eval(41.1, 9.99e-4, 1.0)),
       "NB-LIN" -> Some(Eval(0.4, 0.7245, 0.4592)), "BEAR-APPROX" -> None, "HubPPR" -> None)))
-    val header = " | TPA | RPPR | BRPPR | NB-LIN | BEAR-APPROX | HubPPR |\n" +
+    val header = " | TPA | RPPR | BRPPR | NB-LIN | BEAR-APPROX | HubPPR (3 seeds) |\n" +
       "| --- | --- | --- | --- | --- | --- | --- |\n"
     assert(Experiments.fig1bTable(rows) == "| dataset (online time)" + header +
       "| google-s | 0.2 ms | 1.7 ms | 41.1 ms | 0.4 ms | OOT | OOT |\n")
@@ -43,7 +48,7 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("Fig 3 table: CSR input bytes, then each method's preprocessed bytes") {
-    assert(Experiments.fig3Table(Seq(Fig3Row("google-s", 89904L, 16384L, Some(3356800L), None, 3083000L))) ==
+    assert(Experiments.fig3Table(Seq(preprocessRow)) ==
       "| dataset | (graph) | TPA | NB-LIN | BEAR-APPROX | HubPPR |\n" +
       "| --- | --- | --- | --- | --- | --- |\n" +
       "| google-s | 87.8 KB | 16.0 KB | 3.20 MB | OOT | 2.94 MB |\n")

@@ -2,12 +2,12 @@ package repro.experiments
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{LocalCpi, Tpa}
-import repro.graph.GraphGen
+import repro.graph.{DatasetSpec, GraphGen}
 import repro.metrics.Metrics
 
 /** Harness plumbing: table rendering, formatting, timing, the exact
-  * cache and the evaluation loop, and the Section IV-A defaults in
-  * ExpConfig.
+  * cache, the model memo and the evaluation loop, and the Section IV-A
+  * defaults in ExpConfig.
   */
 class RunnerSpec extends AnyFunSuite {
 
@@ -54,6 +54,23 @@ class RunnerSpec extends AnyFunSuite {
     assert(e.l1 == (Metrics.l1(a4, ex(0)) + Metrics.l1(a9, ex(1))) / 2)
     assert(e.spearman == (Metrics.spearman(a4, ex(0)) + Metrics.spearman(a9, ex(1))) / 2)
     assert(e.l1 > 0 && e.spearman > 0 && e.ms >= 5.0)
+  }
+
+  test("models memoizes one model set per spec, with every method on a small spec") {
+    val spec = DatasetSpec("models-s", 5, 150L, 2, 5, 0L, 0L, 11)
+    val m = Runner.models(spec)
+    assert(Runner.models(spec) eq m)
+    assert(m.tpa.value.stranger.length == spec.n && m.tpa.value.t == spec.t)
+    assert(m.nbLin.nonEmpty && m.bear.nonEmpty && m.hubPpr.value.index.nonEmpty)
+  }
+
+  test("above the NB-LIN and BEAR gates both models are None and neither is built") {
+    // mTarget < 0 makes the graph throw when built, so a model that reads it fails
+    val spec = DatasetSpec("gated-s", 12, -1L, 2, 5, 0L, 0L, 12)
+    assert(spec.n > ExpConfig.nbLinMaxN && spec.n > ExpConfig.bearMaxN)
+    val m = Runner.models(spec)
+    assert(m.nbLin.isEmpty && m.bear.isEmpty)
+    intercept[IllegalArgumentException](m.tpa)
   }
 
   test("ExpConfig defaults follow Section IV-A") {

@@ -67,15 +67,15 @@ class GraphGenSpec extends SparkSpec {
 
   for (spec <- Datasets.all) {
     test(s"${spec.name} analog matches its pinned fingerprint") {
-      assert(Datasets.local(spec).fingerprint == analogFingerprints(spec.name))
+      assert(spec.graph.fingerprint == analogFingerprints(spec.name))
     }
     test(s"${spec.name} random counterpart matches its pinned fingerprint") {
-      assert(Datasets.randomCounterpartLocal(spec).fingerprint == counterpartFingerprints(spec.name))
+      assert(spec.randomCounterpart.fingerprint == counterpartFingerprints(spec.name))
     }
   }
 
   test("the edge DataFrame of slashdot-s has the driver fingerprint on 1, 3 and 8 partitions") {
-    val g = Datasets.local(Datasets.slashdot)
+    val g = Datasets.slashdot.graph
     val df = GraphGen.edgeFrame(spark, g)
     for (k <- Seq(1, 3, 8)) {
       val rows = df.repartition(k).collect()
@@ -86,7 +86,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("edgeFrame partition p holds CSR edges [p·m/P, (p+1)·m/P) on 1, 3 and 8 partitions") {
     // the slices `parallelize` cuts from the edge list in CSR order
-    for (g <- Seq(Datasets.local(Datasets.slashdot), TestGraphs.withDangling(100, 500, 3)); k <- Seq(1, 3, 8)) {
+    for (g <- Seq(Datasets.slashdot.graph, TestGraphs.withDangling(100, 500, 3)); k <- Seq(1, 3, 8)) {
       val pairs = edges(g).map { case (u, v) => (u.toLong, v.toLong) }
       val want = spark.sparkContext.parallelize(pairs, k).glom().collect().map(_.toSeq).toSeq
       val got = GraphGen.edgeFrame(spark, g, k).rdd.map(r => (r.getLong(0), r.getLong(1)))
@@ -127,7 +127,7 @@ class GraphGenSpec extends SparkSpec {
 
   test("dataset registry analogs materialize with expected density") {
     val spec = Datasets.slashdot
-    val g = Datasets.local(spec)
+    val g = spec.graph
     assert(g.m > spec.mTarget * 0.7 && g.m <= spec.mTarget + spec.n)
     assert(g.n == spec.n)
     assert((0 until g.n).forall(g.outDeg(_) >= 1)) // dangling-patched
@@ -135,9 +135,15 @@ class GraphGenSpec extends SparkSpec {
 
   test("random counterpart has approximately the same m as its analog") {
     val spec = Datasets.slashdot
-    val m = Datasets.local(spec).m
-    val mEr = Datasets.randomCounterpartLocal(spec).m
+    val m = spec.graph.m
+    val mEr = spec.randomCounterpart.m
     assert(math.abs(mEr - m).toDouble / m < 0.1)
+  }
+
+  test("a spec builds its graph and its random counterpart once") {
+    val spec = DatasetSpec("memo-s", 6, 300L, 2, 5, 0L, 0L, 9)
+    assert(spec.graph eq spec.graph)
+    assert(spec.randomCounterpart eq spec.randomCounterpart)
   }
 
   test("seedNodes is deterministic and in range") {

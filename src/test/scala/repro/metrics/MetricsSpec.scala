@@ -3,6 +3,7 @@ package repro.metrics
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
+import repro.TestGraphs
 
 /** L1 and Spearman (mid-rank) metric correctness, including the
   * closed-form Spearman formula in the no-ties case and invariance
@@ -54,7 +55,7 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("norm1 known value") {
-    assert(Metrics.norm1(Array(1.0, -2.0, 3.0)) == 6.0)
+    assert(TestGraphs.norm1(Array(1.0, -2.0, 3.0)) == 6.0)
   }
 
   test("ranks without ties are a permutation of 1..n") {

@@ -1,7 +1,8 @@
 package repro.core
 
 import java.util.Arrays
-import java.util.concurrent.RecursiveAction
+import java.util.concurrent.ForkJoinPool
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
 import repro.graph.LocalGraph
 
@@ -17,10 +18,12 @@ import repro.graph.LocalGraph
   *
   * Every run goes through one kernel, [[Scratch.propagate]]: a sorted
   * sparse frontier that switches to a full scan of all n nodes once the
-  * frontier's out-edges pass [[DenseFraction]] of m. On a graph of at least
-  * [[ParallelMinEdges]] edges that scan pulls over the reverse graph on
-  * every core. A run costs the edges it touches, and its dense arrays are
-  * reused per thread.
+  * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
+  * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
+  * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]] once the
+  * frontier's out-edges pass [[PullFraction]] of m: the calling thread and
+  * common-pool helpers pull over the reverse graph, on every core. A run
+  * costs the edges it touches, and its dense arrays are reused per thread.
   */
 object LocalCpi {
 
@@ -31,14 +34,17 @@ object LocalCpi {
     */
   private val DenseFraction = 1.0 / 16
 
-  /** A run that went dense on a graph with at least this many edges uses
-    * the parallel pull hop; below it, the push scan on the calling thread.
-    * A fork/join round trip on the common pool costs as much as a push
-    * scan of a few thousand edges. At 2^18 edges it is at most 3 % of a
-    * hop, which leaves a margin for the in-edges a pull hop reads where x
-    * is zero (DESIGN.md §2). Visible to tests, which build graphs above it.
+  /** An unbounded dense run whose frontier has more out-edges than this
+    * fraction of m pulls the rest of its hops with a team. A pull hop reads
+    * all m in-edges, a push hop only the frontier's out-edges.
     */
-  private[core] val ParallelMinEdges = 1 << 18
+  private val PullFraction = 1.0 / 2
+
+  /** A graph needs more edges than this for a run to start a team. Below
+    * it the team's start and its per-hop claims cost more than the push
+    * scan they would split (DESIGN.md §2).
+    */
+  private val TeamMinEdges = 1 << 14
 
   /** Unit seed vector e_s (RWR from seed `s`). */
   def unitSeed(n: Int, s: Int): Array[Double] = {
@@ -94,16 +100,16 @@ object LocalCpi {
 
   private val scratch = new ThreadLocal[Scratch]
 
-  /** Number of parts of a pull hop. */
+  /** Number of node ranges of a pull hop, and of a team's threads. */
   private val Parts = Runtime.getRuntime.availableProcessors
 
-  /** A node costs a pull part about as much as this many in-edges: the
+  /** A node costs a pull range about as much as this many in-edges: the
     * loop over a short in-list is dominated by its entry and exit. Measured
-    * on the twitter-s analog, where the parts then take equal time.
+    * on the twitter-s analog, where the ranges then take equal time.
     */
   private val NodeCost = 16L
 
-  /** First node of pull part k: the parts split the cost of the reverse
+  /** First node of pull range k: the ranges split the cost of the reverse
     * graph `rev`, NodeCost per node plus one per in-edge, evenly.
     */
   private def splitAt(rev: LocalGraph, k: Int): Int = {
@@ -116,18 +122,99 @@ object LocalCpi {
     lo
   }
 
-  /** nx(v) = Σ share(u) over the in-list of v, in list order, for v in [lo, hi). */
-  private final class Pull(rev: LocalGraph, share: Array[Double], nx: Array[Double], lo: Int, hi: Int)
-      extends RecursiveAction {
-    def compute(): Unit = {
-      val offsets = rev.offsets; val sources = rev.targets
-      var j = offsets(lo)
+  /** The dense hops of one run, pulled over the reverse graph by the
+    * calling thread and Parts − 1 common-pool helpers that stay until
+    * [[stop]]. A hop's node ranges are claimed from one atomic counter, so
+    * the caller can pull every range alone: it waits only for ranges a
+    * running helper claimed, never for a helper the pool has not started.
+    *
+    * `share` holds each node's share x(u)·(1−c)/outdeg(u) of x^(i-1) (0 for
+    * a dangling u). A range sums, for each of its nodes v, the shares of
+    * v's in-list (ascending sources) into x^(i)(v), adds it to r when the
+    * hop accumulates, and writes v's own share into `nextShare`: the push
+    * scan's expressions and order, so the run is bit-identical to it
+    * (DESIGN.md §2). Only the ascending norm loop runs on the caller alone.
+    */
+  private final class PullTeam(g: LocalGraph, c: Double, private var share: Array[Double],
+                               private var nextShare: Array[Double], nx: Array[Double], r: Array[Double]) {
+    private val rev = g.reverse
+    private val bounds = Array.tabulate(Parts + 1)(splitAt(rev, _))
+    private var acc = false
+    /** The current hop's number in the high 32 bits, its next unclaimed
+      * range in the low 32. Hop 0 has every range claimed.
+      */
+    private val work = new AtomicLong(Parts)
+    private val finished = new AtomicInteger
+    @volatile private var failure: Throwable = null
+    @volatile private var stopped = false
+
+    /** Turns x^(i-1), held in `share`, into its shares, and sends the helpers. */
+    def start(): Unit = {
+      val offsets = g.offsets
+      var u = 0
+      while (u < g.n) {
+        val xu = share(u)
+        if (xu != 0.0) {
+          val d = offsets(u + 1) - offsets(u)
+          share(u) = if (d > 0) xu * (1.0 - c) / d else 0.0
+        }
+        u += 1
+      }
+      var k = 1
+      while (k < Parts) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
+    }
+
+    /** A helper leaves once it sees this; one the pool starts later, at once. */
+    def stop(): Unit = stopped = true
+
+    /** One hop; returns ‖x^(i)‖₁. A range that threw is rethrown once every
+      * claimed range has finished, so no helper writes after the run.
+      */
+    def hop(acc: Boolean): Double = {
+      this.acc = acc
+      finished.set(0)
+      work.set(((work.get >>> 32) + 1) << 32)
+      while (claim()) {}
+      while (finished.get < Parts) Thread.onSpinWait()
+      if (failure != null) throw failure
+      val s = share; share = nextShare; nextShare = s
+      var norm = 0.0
+      var v = 0
+      while (v < g.n) { norm += nx(v); v += 1 }
+      norm
+    }
+
+    private def help(): Unit = while (!stopped) if (!claim()) Thread.onSpinWait()
+
+    /** Claims and pulls one range of the current hop, or retries a lost
+      * claim; false once the hop has no unclaimed range.
+      */
+    private def claim(): Boolean = {
+      val w = work.get
+      val k = w.toInt
+      if (k >= Parts) return false
+      if (work.compareAndSet(w, w + 1)) {
+        try pull(bounds(k), bounds(k + 1))
+        catch { case e: Throwable => failure = e }
+        finished.incrementAndGet()
+      }
+      true
+    }
+
+    private def pull(lo: Int, hi: Int): Unit = {
+      val inOffsets = rev.offsets; val sources = rev.targets; val offsets = g.offsets
+      val share = this.share; val next = this.nextShare; val nx = this.nx; val r = this.r
+      val acc = this.acc
+      var j = inOffsets(lo)
       var v = lo
       while (v < hi) {
-        val end = offsets(v + 1)
+        val end = inOffsets(v + 1)
         var sum = 0.0
         while (j < end) { sum += share(sources(j)); j += 1 }
         nx(v) = sum
+        if (acc) r(v) += sum
+        val d = offsets(v + 1) - offsets(v)
+        next(v) = if (d > 0) sum * (1.0 - c) / d else 0.0
         v += 1
       }
     }
@@ -148,16 +235,22 @@ object LocalCpi {
     private var x = new Array[Double](n)    // x^(i-1); non-zero only on the frontier
     private var nx = new Array[Double](n)   // x^(i) while it is built
     private val r = new Array[Double](n)    // Σ x^(i) over the window
+    private val pullShare = new Array[Double](n) // a pull team's second share array
     private var front = new Array[Int](n)   // the frontier, ascending
     private var next = new Array[Int](n)
     private var frontLen = 0
     private val mark = new Array[Int](n)    // 0 = untouched, else 1 + last hop that listed the node
     private val touched = new Array[Int](n) // every node listed so far, in first-touch order
     private var touchedLen = 0
+    private var pushed = 0L                 // out-edges of the frontier the last dense push hop scanned
     private var dense = false
+    private var pulled = false
 
     /** True once the run switched to the dense scan. */
     private[core] def isDense: Boolean = dense
+
+    /** True once the run's dense hops went to a pull team. */
+    private[core] def isPulled: Boolean = pulled
 
     /** Loads q = e_seed. */
     private[core] def startAt(seed: Int): Unit = enlistStart(seed, 1.0)
@@ -189,7 +282,9 @@ object LocalCpi {
     }
 
     /** Accumulates r = Σ_{i=sIter}^{tIter} x^(i) from x^(0) = c·q, stopping
-      * after the first iteration with ‖x^(i)‖₁ < eps.
+      * after the first iteration with ‖x^(i)‖₁ < eps. Only a run with no
+      * finite tIter may start a team: waking helpers for a few hops costs
+      * more than they save.
       */
     private[LocalCpi] def propagate(g: LocalGraph, c: Double, eps: Double,
                                     sIter: Int, tIter: Int): Unit = {
@@ -200,20 +295,31 @@ object LocalCpi {
         if (sIter <= 0) r(u) += x(u)
         k += 1
       }
-      val pull = g.m >= ParallelMinEdges
-      var iter = 1
-      var done = tIter == 0
-      while (!done) {
-        if (!dense && frontOutEdges(g) > g.m * DenseFraction) dense = true
-        val acc = iter >= sIter && iter <= tIter
-        val last = iter >= tIter
-        val norm =
-          if (!dense) sparseHop(g, c, iter + 1, acc, last)
-          else if (pull) pullHop(g, c, acc)
-          else denseHop(g, c, acc)
-        if (norm < eps || last) done = true
-        iter += 1
-      }
+      val mayPull = tIter == Int.MaxValue && g.m > TeamMinEdges && Parts >= 2
+      var team: PullTeam = null
+      try {
+        var iter = 1
+        var done = tIter == 0
+        while (!done) {
+          if (!dense) {
+            pushed = frontOutEdges(g)
+            dense = pushed > g.m * DenseFraction
+          }
+          if (mayPull && team == null && dense && pushed > g.m * PullFraction) {
+            pulled = true
+            team = new PullTeam(g, c, x, pullShare, nx, r)
+            team.start()
+          }
+          val acc = iter >= sIter && iter <= tIter
+          val last = iter >= tIter
+          val norm =
+            if (team != null) team.hop(acc)
+            else if (!dense) sparseHop(g, c, iter + 1, acc, last)
+            else denseHop(g, c, acc)
+          if (norm < eps || last) done = true
+          iter += 1
+        }
+      } finally if (team != null) team.stop()
     }
 
     private def frontOutEdges(g: LocalGraph): Long = {
@@ -269,14 +375,16 @@ object LocalCpi {
       norm
     }
 
-    /** One hop as a full ascending scan of all n nodes. Returns ‖x^(i)‖₁.
-      * The arrays are read into locals and the norm and r loops are kept
-      * apart: with field reads in the loops, or with the two loops merged,
-      * the hop measured a few per cent slower than the plain dense loop.
+    /** One hop as a full ascending scan of all n nodes. Returns ‖x^(i)‖₁ and
+      * leaves the out-edges it scanned in `pushed`. The arrays are read into
+      * locals and the norm and r loops are kept apart: with field reads in
+      * the loops, or with the two loops merged, the hop measured a few per
+      * cent slower than the plain dense loop.
       */
     private def denseHop(g: LocalGraph, c: Double, acc: Boolean): Double = {
       val x = this.x; val nx = this.nx; val r = this.r
       val offsets = g.offsets; val targets = g.targets
+      var edges = 0L
       var u = 0
       while (u < n) {
         val xu = x(u)
@@ -285,6 +393,7 @@ object LocalCpi {
           val end = offsets(u + 1)
           val d = end - j
           if (d > 0) {
+            edges += d
             val share = xu * (1.0 - c) / d
             while (j < end) { nx(targets(j)) += share; j += 1 }
           }
@@ -297,49 +406,7 @@ object LocalCpi {
       if (acc) { u = 0; while (u < n) { r(u) += nx(u); u += 1 } }
       Arrays.fill(x, 0.0)
       this.x = nx; this.nx = x
-      norm
-    }
-
-    /** The dense hop in pull direction, split over the common ForkJoin pool.
-      * Returns ‖x^(i)‖₁. x(u) first becomes u's share, by the push hop's
-      * expression (0 for a dangling u); then each node v sums the shares of
-      * its in-list. The in-list is in ascending source order, so v's sum
-      * adds the push scan's terms in the push scan's order, plus zero terms
-      * that change no sum: the result is bit-identical. Each part writes
-      * only its own nodes' slots of nx; norm and r are summed on the
-      * calling thread in ascending order, as in [[denseHop]].
-      */
-    private def pullHop(g: LocalGraph, c: Double, acc: Boolean): Double = {
-      val x = this.x; val nx = this.nx; val r = this.r
-      val offsets = g.offsets
-      var u = 0
-      while (u < n) {
-        val xu = x(u)
-        if (xu != 0.0) {
-          val d = offsets(u + 1) - offsets(u)
-          x(u) = if (d > 0) xu * (1.0 - c) / d else 0.0
-        }
-        u += 1
-      }
-      val rev = g.reverse
-      val parts = new Array[Pull](Parts)
-      var k = 0
-      while (k < Parts) { parts(k) = new Pull(rev, x, nx, splitAt(rev, k), splitAt(rev, k + 1)); k += 1 }
-      // Every part is joined, even after one failed, so none still writes
-      // to nx when the scratch is cleared.
-      k = Parts - 1
-      while (k > 0) { parts(k).fork(); k -= 1 }
-      parts(0).quietlyInvoke()
-      k = 1
-      while (k < Parts) { parts(k).quietlyJoin(); k += 1 }
-      k = 0
-      while (k < Parts) { if (parts(k).getException != null) throw parts(k).getException; k += 1 }
-      var norm = 0.0
-      u = 0
-      while (u < n) { norm += nx(u); u += 1 }
-      if (acc) { u = 0; while (u < n) { r(u) += nx(u); u += 1 } }
-      Arrays.fill(x, 0.0)
-      this.x = nx; this.nx = x
+      pushed = edges
       norm
     }
 
@@ -347,6 +414,7 @@ object LocalCpi {
     private[LocalCpi] def clear(): Unit = {
       if (dense) {
         Arrays.fill(x, 0.0); Arrays.fill(nx, 0.0); Arrays.fill(r, 0.0); Arrays.fill(mark, 0)
+        if (pulled) Arrays.fill(pullShare, 0.0)
       } else {
         var k = 0
         while (k < touchedLen) {
@@ -355,7 +423,7 @@ object LocalCpi {
           k += 1
         }
       }
-      frontLen = 0; touchedLen = 0; dense = false
+      frontLen = 0; touchedLen = 0; dense = false; pulled = false
     }
   }
 }

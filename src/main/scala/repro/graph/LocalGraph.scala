@@ -31,7 +31,7 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
 
   /** Graph with every edge reversed, built by [[LocalGraph.transpose]] on
     * first use and kept. Every in-list is in ascending source order. The
-    * pull hop of `LocalCpi`'s dense kernel (on graphs of at least 2^18
+    * pull team of `LocalCpi`'s converging runs (on graphs of more than 2^14
     * edges), HubPPR's backward push and [[inDeg]] read it.
     */
   lazy val reverse: LocalGraph = LocalGraph.transpose(this)
@@ -53,12 +53,18 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
 
 object LocalGraph {
 
-  /** Build CSR from parallel edge arrays (src(i) -> dst(i)). */
+  /** Build CSR from parallel edge arrays (src(i) -> dst(i)). Rejects an
+    * endpoint outside [0, n), naming the first edge that has one.
+    */
   def fromEdges(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
     require(src.length == dst.length)
     val deg = new Array[Int](n)
     var i = 0
-    while (i < src.length) { deg(src(i)) += 1; i += 1 }
+    while (i < src.length) {
+      val u = src(i)
+      if (u < 0 || u >= n) requireEndpoints(n, src, dst)
+      deg(u) += 1; i += 1
+    }
     val offsets = new Array[Int](n + 1)
     i = 0
     while (i < n) { offsets(i + 1) = offsets(i) + deg(i); i += 1 }
@@ -66,9 +72,20 @@ object LocalGraph {
     val targets = new Array[Int](src.length)
     i = 0
     while (i < src.length) {
-      val u = src(i); targets(pos(u)) = dst(i); pos(u) += 1; i += 1
+      val u = src(i); val v = dst(i)
+      if (v < 0 || v >= n) requireEndpoints(n, src, dst)
+      targets(pos(u)) = v; pos(u) += 1; i += 1
     }
     new LocalGraph(n, offsets, targets)
+  }
+
+  /** Requires every endpoint in [0, n), naming the first edge with one
+    * outside. The loops of [[fromEdges]] call it only once they met one.
+    */
+  private def requireEndpoints(n: Int, src: Array[Int], dst: Array[Int]): Unit = {
+    def inRange(u: Int) = u >= 0 && u < n
+    val i = src.indices.indexWhere(i => !inRange(src(i)) || !inRange(dst(i)))
+    require(i < 0, s"edge $i (${src(i)} -> ${dst(i)}) has an endpoint outside [0, $n)")
   }
 
   /** The transpose of `g` in O(n + m): a counting sort of g's edges by

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, CyclicBarrier, Executors, TimeUnit}
+import java.util.concurrent.{Callable, CountDownLatch, CyclicBarrier, Executors, ForkJoinPool, TimeUnit}
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
@@ -12,7 +12,7 @@ import repro.metrics.Metrics
   * with an independent dense solve, the exact L1 norms of Lemma 3, the
   * family/neighbor/stranger partition identity, and bit-identity of the
   * sparse-frontier kernel with the plain dense loop in every mode,
-  * including the parallel pull hop on graphs above its edge threshold.
+  * including the pull team of converging runs, and which runs start one.
   */
 class LocalCpiSpec extends AnyFunSuite {
   val c = 0.15
@@ -168,10 +168,12 @@ class LocalCpiSpec extends AnyFunSuite {
     */
   val windows = Seq((0, 1), (0, 3), (2, 4), (3, 9), (5, Int.MaxValue), (0, Int.MaxValue))
 
-  /** The kernel's result from `q`, and whether the run ended in the dense scan. */
-  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int): (Array[Double], Boolean) =
+  /** The kernel's result from `q`, and the path the run took. */
+  final class Run(val r: Array[Double], val dense: Boolean, val pulled: Boolean)
+
+  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int): Run =
     LocalCpi.accumulate(g, c, eps, sIter, tIter)(_.startFrom(q)) { sc =>
-      (sc.addTo(new Array[Double](g.n), 1.0), sc.isDense)
+      new Run(sc.addTo(new Array[Double](g.n), 1.0), sc.isDense, sc.isPulled)
     }
 
   /** L1 = 0 (hard gate < 1e-12), and equal bit for bit. */
@@ -183,29 +185,29 @@ class LocalCpiSpec extends AnyFunSuite {
   for ((name, g) <- kernelGraphs; s <- Seq(1, 2); seed <- Seq(0, 7, g.n - 1)) {
     test(s"kernel: sparse-only family window S=$s equals the dense loop on $name seed $seed") {
       val q = LocalCpi.unitSeed(g.n, seed)
-      val (r, dense) = kernel(g, q, 0, s - 1)
-      assert(!dense)
-      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, s - 1))
+      val run = kernel(g, q, 0, s - 1)
+      assert(!run.dense)
+      assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, s - 1))
     }
   }
 
   for ((name, g) <- kernelGraphs; seed <- Seq(0, 7)) {
     test(s"kernel: a unit-seed run that goes dense mid-way equals the dense loop on $name seed $seed") {
       val q = LocalCpi.unitSeed(g.n, seed)
-      assert(!kernel(g, q, 0, 1)._2, "the first hop should be sparse")
+      assert(!kernel(g, q, 0, 1).dense, "the first hop should be sparse")
       for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+        assertIdentical(kernel(g, q, sIter, tIter).r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
       // A cycle's frontier never grows, so that run stays sparse to convergence.
-      assert(kernel(g, q, 0, Int.MaxValue)._2 == (name != "cycle-50"))
+      assert(kernel(g, q, 0, Int.MaxValue).dense == (name != "cycle-50"))
     }
   }
 
   for ((name, g) <- kernelGraphs) {
     test(s"kernel: a uniform seed runs dense from the start and equals the dense loop on $name") {
       val q = LocalCpi.uniformSeed(g.n)
-      assert(kernel(g, q, 0, 1)._2)
+      assert(kernel(g, q, 0, 1).dense)
       for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+        assertIdentical(kernel(g, q, sIter, tIter).r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
     }
   }
 
@@ -219,11 +221,11 @@ class LocalCpiSpec extends AnyFunSuite {
       LocalCpi.unitSeed(g.n, feeder) -> Int.MaxValue,
       LocalCpi.uniformSeed(g.n) -> Int.MaxValue)
     val modes = for ((q, tIter) <- cases) yield {
-      val (r, dense) = kernel(g, q, 0, tIter)
-      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
+      val run = kernel(g, q, 0, tIter)
+      assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
       val leakFree = if (tIter == Int.MaxValue) 1.0 else 1.0 - math.pow(1 - c, tIter + 1)
-      assert(TestGraphs.norm1(r) < leakFree - 1e-6)
-      dense
+      assert(TestGraphs.norm1(run.r) < leakFree - 1e-6)
+      run.dense
     }
     assert(modes.toSet == Set(false, true))
   }
@@ -232,56 +234,91 @@ class LocalCpiSpec extends AnyFunSuite {
     val (_, g) = graphs.head
     val unit = LocalCpi.unitSeed(g.n, 3)
     val expected = ReferenceCpi.run(g, unit, c, eps, 0, 2)
-    assertIdentical(kernel(g, unit, 0, 2)._1, expected)
+    assertIdentical(kernel(g, unit, 0, 2).r, expected)
     kernel(g, LocalCpi.uniformSeed(g.n), 0, Int.MaxValue)
-    assertIdentical(kernel(g, unit, 0, 2)._1, expected)
+    assertIdentical(kernel(g, unit, 0, 2).r, expected)
     for (q <- Seq(unit, LocalCpi.uniformSeed(g.n))) {
       intercept[IllegalStateException] {
         LocalCpi.accumulate(g, c, eps, 0, 4)(_.startFrom(q))(_ => throw new IllegalStateException)
       }
-      assertIdentical(kernel(g, unit, 0, 2)._1, expected)
+      assertIdentical(kernel(g, unit, 0, 2).r, expected)
     }
   }
 
-  /** Graphs above ParallelMinEdges: a run that goes dense on them takes the
-    * parallel pull hop. Two node counts, so a thread's scratch is rebuilt.
+  test("team: a graph below the team's edge floor never pulls") {
+    for ((name, g) <- kernelGraphs; q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n)))
+      assert(!kernel(g, q, 0, Int.MaxValue).pulled, name)
+  }
+
+  /** Graphs on which a converging dense run pulls with a team: two of 300k
+    * edges, and a mid-size one of about 60k, below 2^18 like the pokec-s
+    * analog. Each has a node count of its own, so a thread's scratch is
+    * rebuilt between them.
     */
   val pullGraphs = Seq(
     "random-24k" -> TestGraphs.random(24000, 300000, 31),
     "with-dangling-20k" -> TestGraphs.withDangling(20000, 300000, 32))
+  val midGraph = "with-dangling-8k" -> TestGraphs.withDangling(8000, 60000, 33)
+  val teamGraphs = pullGraphs :+ midGraph
 
-  test("pull hop: the pull test graphs are above ParallelMinEdges") {
-    for ((name, g) <- pullGraphs) assert(g.m >= LocalCpi.ParallelMinEdges, name)
+  /** The window runs with a team exactly when it has no finite end. */
+  def assertPath(run: Run, tIter: Int): Unit = {
+    assert(run.dense)
+    assert(run.pulled == (tIter == Int.MaxValue), s"tIter $tIter")
   }
 
-  for ((name, g) <- pullGraphs) {
+  for ((name, g) <- teamGraphs) {
     test(s"pull hop: a uniform seed equals the dense loop bit for bit on $name") {
       val q = LocalCpi.uniformSeed(g.n)
-      assert(kernel(g, q, 0, 1)._2)
-      for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      assert(kernel(g, q, 0, 1).dense)
+      for ((sIter, tIter) <- windows) {
+        val run = kernel(g, q, sIter, tIter)
+        assertPath(run, tIter)
+        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      }
     }
 
     test(s"pull hop: a unit-seed run that goes dense mid-way equals the dense loop bit for bit on $name") {
       val q = LocalCpi.unitSeed(g.n, 7)
-      assert(!kernel(g, q, 0, 1)._2, "the first hop should be sparse")
-      assert(kernel(g, q, 0, Int.MaxValue)._2, "the run should go dense")
-      for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter)._1, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      assert(!kernel(g, q, 0, 1).dense, "the first hop should be sparse")
+      assert(kernel(g, q, 0, Int.MaxValue).dense, "the run should go dense")
+      for ((sIter, tIter) <- windows) {
+        val run = kernel(g, q, sIter, tIter)
+        if (tIter == Int.MaxValue) assertPath(run, tIter) else assert(!run.pulled)
+        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      }
+    }
+
+    test(s"team: bounded windows never pull on $name") {
+      for (s <- 1 to 4) {
+        val q = LocalCpi.unitSeed(g.n, 7)
+        // Tpa.family's own call.
+        assert(!LocalCpi.accumulate(g, c, eps, 0, s - 1)(_.startAt(7))(_.isPulled), s"S=$s")
+        assertIdentical(Tpa.family(g, c, s, 7, eps), ReferenceCpi.run(g, q, c, eps, 0, s - 1))
+      }
+      // A long finite window converges before tIter, with the push scan.
+      val uniform = LocalCpi.uniformSeed(g.n)
+      val run = kernel(g, uniform, 0, 1000)
+      assert(run.dense && !run.pulled)
+      assertIdentical(run.r, ReferenceCpi.run(g, uniform, c, eps, 0, 1000))
     }
   }
 
   test("pull hop: a dangling node leaks the same mass as in the dense loop") {
-    val (_, g) = pullGraphs(1)
-    val dangling = g.n - 1
-    assert(g.outDeg(dangling) == 0 && g.inDeg(dangling) > 0)
-    for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n))) {
-      val (r, dense) = kernel(g, q, 0, Int.MaxValue)
-      assert(dense)
-      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
-      assert(TestGraphs.norm1(r) < 1.0 - 1e-6)
+    for ((name, g) <- Seq(pullGraphs(1), midGraph)) {
+      val dangling = g.n - 1
+      assert(g.outDeg(dangling) == 0 && g.inDeg(dangling) > 0, name)
+      for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n))) {
+        val run = kernel(g, q, 0, Int.MaxValue)
+        assertPath(run, Int.MaxValue)
+        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
+        assert(TestGraphs.norm1(run.r) < 1.0 - 1e-6, name)
+      }
     }
   }
+
+  /** True once no common-pool thread runs a task: no helper is left. */
+  def poolQuiet(): Boolean = ForkJoinPool.commonPool().awaitQuiescence(30, TimeUnit.SECONDS)
 
   test("pull hop: scratch is all-zero after a run that throws in pull mode") {
     val (_, g) = pullGraphs.head
@@ -291,14 +328,57 @@ class LocalCpiSpec extends AnyFunSuite {
     val expectedUniform = ReferenceCpi.run(g, uniform, c, eps, 0, 4)
     for (q <- Seq(unit, uniform)) {
       intercept[IllegalStateException] {
-        LocalCpi.accumulate(g, c, eps, 0, 6)(_.startFrom(q)) { sc =>
-          assert(sc.isDense)
+        LocalCpi.accumulate(g, c, eps, 0, Int.MaxValue)(_.startFrom(q)) { sc =>
+          assert(sc.isPulled)
           throw new IllegalStateException
         }
       }
-      assertIdentical(kernel(g, unit, 0, 2)._1, expectedUnit)
-      assertIdentical(kernel(g, uniform, 0, 4)._1, expectedUniform)
+      assert(poolQuiet())
+      assertIdentical(kernel(g, unit, 0, 2).r, expectedUnit)
+      assertIdentical(kernel(g, uniform, 0, 4).r, expectedUniform)
     }
+  }
+
+  test("team: a range that throws is rethrown by the caller, and the scratch is all-zero after") {
+    val (_, clean) = midGraph
+    // The same edges with one in-list entry of the last node pointing
+    // outside the graph: whichever thread pulls that range throws.
+    val broken = new LocalGraph(clean.n, clean.offsets, clean.targets)
+    val v = broken.n - 1
+    assert(broken.reverse.outDeg(v) > 0)
+    broken.reverse.targets(broken.reverse.offsets(v)) = broken.n + 5
+    val uniform = LocalCpi.uniformSeed(clean.n)
+    for (_ <- 0 until 5) {
+      intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, uniform, c, eps, 0, Int.MaxValue))
+      assert(poolQuiet())
+      val run = kernel(clean, uniform, 0, Int.MaxValue)
+      assert(run.pulled)
+      assertIdentical(run.r, ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
+    }
+  }
+
+  test("team: Tpa.preprocess returns while every common-pool thread is held") {
+    val (_, g) = pullGraphs.head
+    val t = 5
+    val sequential = Tpa.preprocess(g, c, eps, t).stranger
+    val pool = ForkJoinPool.commonPool()
+    val held = new CountDownLatch(pool.getParallelism)
+    val release = new CountDownLatch(1)
+    val caller = Executors.newSingleThreadExecutor()
+    try {
+      for (_ <- 0 until pool.getParallelism) pool.execute(new Runnable {
+        def run(): Unit = { held.countDown(); release.await() }
+      })
+      assert(held.await(30, TimeUnit.SECONDS), "every pool thread should be held")
+      val run = caller.submit(new Callable[Array[Double]] {
+        def call(): Array[Double] = Tpa.preprocess(g, c, eps, t).stranger
+      })
+      assertIdentical(run.get(120, TimeUnit.SECONDS), sequential)
+    } finally {
+      release.countDown()
+      caller.shutdown()
+    }
+    assert(poolQuiet())
   }
 
   test("pull hop: Tpa.preprocess on two threads at once equals the sequential runs") {

@@ -74,7 +74,7 @@ class LocalGraphSpec extends AnyFunSuite {
       assert(java.util.Arrays.equals(g.reverse.targets, expected.targets))
     }
 
-    // LocalCpi's pull hop sums each in-list in list order. Ascending sources
+    // LocalCpi's pull team sums each in-list in list order. Ascending sources
     // are the order in which the push scan adds the same terms, so this
     // invariant is what makes the pull hop bit-identical to it.
     test(s"every in-list of reverse is in ascending source order on $name") {
@@ -106,6 +106,26 @@ class LocalGraphSpec extends AnyFunSuite {
   test("empty graph is valid") {
     val g = LocalGraph.fromEdges(5, Array.empty[Int], Array.empty[Int])
     assert(g.m == 0 && (0 until 5).forall(g.outDeg(_) == 0))
+  }
+
+  /** The message of `fromEdges`' rejection of an out-of-range endpoint. */
+  private def rejection(n: Int, src: Array[Int], dst: Array[Int]): String =
+    intercept[IllegalArgumentException](LocalGraph.fromEdges(n, src, dst)).getMessage
+
+  test("fromEdges rejects a source outside [0, n), naming the first bad edge") {
+    assert(rejection(3, Array(0, 1, 5, 7), Array(1, 2, 0, 0)).contains("edge 2 (5 -> 0)"))
+    assert(rejection(3, Array(0, 3), Array(1, 2)).contains("edge 1 (3 -> 2)"))
+  }
+
+  test("fromEdges rejects a target outside [0, n), naming the first bad edge") {
+    assert(rejection(3, Array(0), Array(5)).contains("edge 0 (0 -> 5)"))
+    // The bad target of edge 1 comes before the bad source of edge 2.
+    assert(rejection(3, Array(0, 1, 4), Array(1, 3, 0)).contains("edge 1 (1 -> 3)"))
+  }
+
+  test("fromEdges rejects a negative node id") {
+    assert(rejection(3, Array(0, -1), Array(1, 2)).contains("edge 1 (-1 -> 2)"))
+    assert(rejection(3, Array(0, 2), Array(1, -4)).contains("edge 1 (2 -> -4)"))
   }
 
   test("offsets length is validated") {

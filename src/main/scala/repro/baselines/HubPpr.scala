@@ -19,8 +19,7 @@ import scala.collection.mutable
   * in-degree nodes (the paper's backward oracle) so online queries on
   * hub targets skip the push. Answering a *full RWR vector* — what TPA
   * computes — requires one query per target node, which is why HubPPR's
-  * online time explodes in the paper (10⁴× TPA); the bench reproduces
-  * that with a wall-clock cap.
+  * online time explodes in the paper (10⁴× TPA).
   */
 object HubPpr {
 
@@ -108,24 +107,11 @@ object HubPpr {
     est
   }
 
-  /** Full RWR vector from `s`: one bidirectional query per target node.
-    * Stops early when `deadlineMs` (wall clock) is exceeded; returns the
-    * partial vector and whether it timed out.
-    */
+  /** Full RWR vector from `s`: one bidirectional query per target node. */
   def fullVector(model: Model, g: LocalGraph, s: Int, walks: Int,
-                 rng: scala.util.Random,
-                 deadlineMs: Long = Long.MaxValue): (Array[Double], Boolean) = {
+                 rng: scala.util.Random): Array[Double] = {
     require(s >= 0 && s < g.n, s"seed $s out of range [0, ${g.n})")
     val endpoints = sampleEndpoints(g, s, model.c, walks, rng)
-    val out = new Array[Double](g.n)
-    val start = System.nanoTime()
-    var t = 0
-    while (t < g.n) {
-      if ((System.nanoTime() - start) / 1000000L > deadlineMs)
-        return (out, true)
-      out(t) = estimate(model, g, s, t, endpoints, walks)
-      t += 1
-    }
-    (out, false)
+    Array.tabulate(g.n)(estimate(model, g, s, _, endpoints, walks))
   }
 }

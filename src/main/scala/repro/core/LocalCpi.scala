@@ -20,10 +20,10 @@ import repro.graph.LocalGraph
   * sparse frontier that switches to a full scan of all n nodes once the
   * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
   * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
-  * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]] once the
-  * frontier's out-edges pass [[PullFraction]] of m: the calling thread and
-  * common-pool helpers pull over the reverse graph, on every core. A run
-  * costs the edges it touches, and its dense arrays are reused per thread.
+  * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]]: the
+  * calling thread and common-pool helpers pull over the reverse graph, on
+  * every core. A run costs the edges it touches, and its dense arrays are
+  * reused per thread.
   */
 object LocalCpi {
 
@@ -33,12 +33,6 @@ object LocalCpi {
     * sort and the index lists cost less than scanning n slots.
     */
   private val DenseFraction = 1.0 / 16
-
-  /** An unbounded dense run whose frontier has more out-edges than this
-    * fraction of m pulls the rest of its hops with a team. A pull hop reads
-    * all m in-edges, a push hop only the frontier's out-edges.
-    */
-  private val PullFraction = 1.0 / 2
 
   /** A graph needs more edges than this for a run to start a team. Below
     * it the team's start and its per-hop claims cost more than the push
@@ -124,9 +118,10 @@ object LocalCpi {
 
   /** The dense hops of one run, pulled over the reverse graph by the
     * calling thread and Parts − 1 common-pool helpers that stay until
-    * [[stop]]. A hop's node ranges are claimed from one atomic counter, so
-    * the caller can pull every range alone: it waits only for ranges a
-    * running helper claimed, never for a helper the pool has not started.
+    * [[stop]]; on one core, by the caller alone. A hop's node ranges are
+    * claimed from one atomic counter, so the caller can pull every range
+    * alone: it waits only for ranges a running helper claimed, never for a
+    * helper the pool has not started.
     *
     * `share` holds each node's share x(u)·(1−c)/outdeg(u) of x^(i-1) (0 for
     * a dangling u). A range sums, for each of its nodes v, the shares of
@@ -242,7 +237,6 @@ object LocalCpi {
     private val mark = new Array[Int](n)    // 0 = untouched, else 1 + last hop that listed the node
     private val touched = new Array[Int](n) // every node listed so far, in first-touch order
     private var touchedLen = 0
-    private var pushed = 0L                 // out-edges of the frontier the last dense push hop scanned
     private var dense = false
     private var pulled = false
 
@@ -283,8 +277,8 @@ object LocalCpi {
 
     /** Accumulates r = Σ_{i=sIter}^{tIter} x^(i) from x^(0) = c·q, stopping
       * after the first iteration with ‖x^(i)‖₁ < eps. Only a run with no
-      * finite tIter may start a team: waking helpers for a few hops costs
-      * more than they save.
+      * finite tIter may start a team, at the hop it goes dense: waking
+      * helpers for a few hops costs more than they save.
       */
     private[LocalCpi] def propagate(g: LocalGraph, c: Double, eps: Double,
                                     sIter: Int, tIter: Int): Unit = {
@@ -295,17 +289,14 @@ object LocalCpi {
         if (sIter <= 0) r(u) += x(u)
         k += 1
       }
-      val mayPull = tIter == Int.MaxValue && g.m > TeamMinEdges && Parts >= 2
+      val mayPull = tIter == Int.MaxValue && g.m > TeamMinEdges
       var team: PullTeam = null
       try {
         var iter = 1
         var done = tIter == 0
         while (!done) {
-          if (!dense) {
-            pushed = frontOutEdges(g)
-            dense = pushed > g.m * DenseFraction
-          }
-          if (mayPull && team == null && dense && pushed > g.m * PullFraction) {
+          if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
+          if (mayPull && team == null && dense) {
             pulled = true
             team = new PullTeam(g, c, x, pullShare, nx, r)
             team.start()
@@ -375,16 +366,14 @@ object LocalCpi {
       norm
     }
 
-    /** One hop as a full ascending scan of all n nodes. Returns ‖x^(i)‖₁ and
-      * leaves the out-edges it scanned in `pushed`. The arrays are read into
-      * locals and the norm and r loops are kept apart: with field reads in
-      * the loops, or with the two loops merged, the hop measured a few per
-      * cent slower than the plain dense loop.
+    /** One hop as a full ascending scan of all n nodes. Returns ‖x^(i)‖₁.
+      * The arrays are read into locals and the norm and r loops are kept
+      * apart: with field reads in the loops, or with the two loops merged,
+      * the hop measured a few per cent slower than the plain dense loop.
       */
     private def denseHop(g: LocalGraph, c: Double, acc: Boolean): Double = {
       val x = this.x; val nx = this.nx; val r = this.r
       val offsets = g.offsets; val targets = g.targets
-      var edges = 0L
       var u = 0
       while (u < n) {
         val xu = x(u)
@@ -393,7 +382,6 @@ object LocalCpi {
           val end = offsets(u + 1)
           val d = end - j
           if (d > 0) {
-            edges += d
             val share = xu * (1.0 - c) / d
             while (j < end) { nx(targets(j)) += share; j += 1 }
           }
@@ -406,7 +394,6 @@ object LocalCpi {
       if (acc) { u = 0; while (u < n) { r(u) += nx(u); u += 1 } }
       Arrays.fill(x, 0.0)
       this.x = nx; this.nx = x
-      pushed = edges
       norm
     }
 

@@ -52,7 +52,4 @@ object ExpConfig {
 
   /** HubPPR seeds for online measurement (full-vector loop is slow by design). */
   val hubPprSeeds: Int = 3
-
-  /** Wall-clock cap per HubPPR full-vector query, ms. */
-  val hubPprDeadlineMs: Long = 120000L
 }

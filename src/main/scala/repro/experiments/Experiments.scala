@@ -102,7 +102,7 @@ object Experiments {
         val hub = m.hubPpr.value
         val rng = new scala.util.Random(7)
         evaluate(g, seeds.take(ExpConfig.hubPprSeeds)) { s =>
-          HubPpr.fullVector(hub, g, s, ExpConfig.hubPprWalks, rng, ExpConfig.hubPprDeadlineMs)._1
+          HubPpr.fullVector(hub, g, s, ExpConfig.hubPprWalks, rng)
         }
       }))
   }

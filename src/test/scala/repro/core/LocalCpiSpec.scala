@@ -304,6 +304,25 @@ class LocalCpiSpec extends AnyFunSuite {
     }
   }
 
+  test("team: a converging run pulls from the hop it goes dense, though its frontier never reaches m/2 out-edges") {
+    // Two disjoint parts; a unit seed in the small one goes dense, but its
+    // frontier's out-edges stay below the small part's edge count.
+    val small = TestGraphs.random(2000, 8000, 34)
+    val large = TestGraphs.random(6000, 40000, 35)
+    def edges(part: LocalGraph, shift: Int): Seq[(Int, Int)] =
+      for (u <- 0 until part.n; j <- part.offsets(u) until part.offsets(u + 1))
+        yield (u + shift, part.targets(j) + shift)
+    val pairs = edges(small, 0) ++ edges(large, small.n)
+    val g = LocalGraph.fromEdges(small.n + large.n, pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+    assert(g.m > (1 << 14) && 2 * small.m < g.m)
+    val q = LocalCpi.unitSeed(g.n, 7)
+    for ((sIter, tIter) <- windows) {
+      val run = kernel(g, q, sIter, tIter)
+      if (tIter == Int.MaxValue) assertPath(run, tIter) else assert(!run.pulled)
+      assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+    }
+  }
+
   test("pull hop: a dangling node leaks the same mass as in the dense loop") {
     for ((name, g) <- Seq(pullGraphs(1), midGraph)) {
       val dangling = g.n - 1

@@ -28,7 +28,9 @@ object CpiEngine {
     * job, returns `empty` when tIter < 0, keeps the iterates inside the
     * window, and stops after tIter or once ‖x^(i)‖₁ < eps. Each engine
     * supplies its seed x^(0), its hop x^(i) → x^(i+1) (checkpointed), the
-    * norm action and the sum of the kept iterates.
+    * norm action and the sum of the kept iterates. Superstep tIter runs no
+    * norm action: it ends the loop whatever the norm is, and `sum` reads
+    * its iterate.
     */
   private[core] def supersteps[V](c: Double, eps: Double, sIter: Int, tIter: Int)(
       empty: => V, seed: => V, hop: V => V, norm: V => Double, sum: Seq[V] => V): V = {
@@ -43,9 +45,8 @@ object CpiEngine {
     var done = tIter == 0
     while (!done) {
       x = hop(x)
-      val n = norm(x)
       if (iter >= sIter && iter <= tIter) parts += x
-      if (n < eps || iter >= tIter) done = true
+      done = iter >= tIter || norm(x) < eps
       iter += 1
     }
     if (parts.isEmpty) empty else sum(parts.toSeq)

@@ -60,7 +60,8 @@ object CpiGraphX {
           _ + _)
         .map(identity)
         .localCheckpoint(),
-      norm = _.map(_._2).sum(), // materializes the checkpoint
+      // Materializes the checkpoint; `sum` materializes the last superstep's.
+      norm = _.map(_._2).sum(),
       // As many partitions as one iterate: the default, the parts' total,
       // makes every later read of the sum (a TPA merge) run that many tasks.
       sum = parts => spark.sparkContext.union(parts).reduceByKey(_ + _, graph.vertices.getNumPartitions))

@@ -16,8 +16,8 @@ import repro.graph.LocalGraph
   * RWR/PageRank vector (Theorem 1) — it is the repo's ground-truth oracle
   * standing in for the paper's use of BePI.
   *
-  * Every run goes through one kernel, [[Scratch.propagate]]: a sorted
-  * sparse frontier that switches to a full scan of all n nodes once the
+  * Every run goes through one kernel, [[Scratch.propagate]]: an ascending
+  * sparse frontier that switches to dense hops over all n nodes once the
   * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
   * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
   * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]]: the
@@ -28,9 +28,9 @@ import repro.graph.LocalGraph
 object LocalCpi {
 
   /** A frontier with more out-edges than this fraction of m is propagated
-    * by a full ascending scan of all n nodes, for the rest of the run (the
-    * direction-optimizing switch of Beamer et al., SC'12). Below it, the
-    * sort and the index lists cost less than scanning n slots.
+    * by dense hops, for the rest of the run (the direction-optimizing switch
+    * of Beamer et al., SC'12). Below it, the index lists cost less than
+    * scanning n slots.
     */
   private val DenseFraction = 1.0 / 16
 
@@ -42,8 +42,13 @@ object LocalCpi {
 
   /** Unit seed vector e_s (RWR from seed `s`). */
   def unitSeed(n: Int, s: Int): Array[Double] = {
+    requireSeed(n, s)
     val q = new Array[Double](n); q(s) = 1.0; q
   }
+
+  /** Rejects a seed node outside [0, n). */
+  private[core] def requireSeed(n: Int, seed: Int): Unit =
+    require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
 
   /** Uniform seed vector 1/n (PageRank). */
   def uniformSeed(n: Int): Array[Double] = Array.fill(n)(1.0 / n)
@@ -222,19 +227,21 @@ object LocalCpi {
     * those; after the switch to the dense scan it may write any node, and
     * [[clear]] fills whole arrays.
     *
-    * A sorted frontier adds the terms of each entry in the same order as a
-    * full ascending scan, and a zero term changes no sum, so both modes give
-    * bit-identical results.
+    * An ascending frontier adds the terms of each entry in the same order as
+    * a full ascending scan, and a zero term changes no sum, so both modes
+    * give bit-identical results.
     */
   private[core] final class Scratch(val n: Int) {
     private var x = new Array[Double](n)    // x^(i-1); non-zero only on the frontier
     private var nx = new Array[Double](n)   // x^(i) while it is built
     private val r = new Array[Double](n)    // Σ x^(i) over the window
     private val pullShare = new Array[Double](n) // a pull team's second share array
-    private var front = new Array[Int](n)   // the frontier, ascending
+    private var front = new Array[Int](n)   // the frontier, ascending until the last hop
     private var next = new Array[Int](n)
     private var frontLen = 0
     private val mark = new Array[Int](n)    // 0 = untouched, else 1 + last hop that listed the node
+    private val listed = new Array[Long]((n + 63) >>> 6) // a sparse hop's next frontier, one bit per node
+    private var listing = false             // true while `listed` may hold a bit
     private val touched = new Array[Int](n) // every node listed so far, in first-touch order
     private var touchedLen = 0
     private var dense = false
@@ -278,7 +285,8 @@ object LocalCpi {
     /** Accumulates r = Σ_{i=sIter}^{tIter} x^(i) from x^(0) = c·q, stopping
       * after the first iteration with ‖x^(i)‖₁ < eps. Only a run with no
       * finite tIter may start a team, at the hop it goes dense: waking
-      * helpers for a few hops costs more than they save.
+      * helpers for a few hops costs more than they save. The hop i = tIter
+      * computes no norm: it ends the run whatever the norm is.
       */
     private[LocalCpi] def propagate(g: LocalGraph, c: Double, eps: Double,
                                     sIter: Int, tIter: Int): Unit = {
@@ -295,6 +303,7 @@ object LocalCpi {
         var iter = 1
         var done = tIter == 0
         while (!done) {
+          val ascending = !dense // front lists every non-zero of x^(i-1), ascending
           if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
           if (mayPull && team == null && dense) {
             pulled = true
@@ -306,8 +315,8 @@ object LocalCpi {
           val norm =
             if (team != null) team.hop(acc)
             else if (!dense) sparseHop(g, c, iter + 1, acc, last)
-            else denseHop(g, c, acc)
-          if (norm < eps || last) done = true
+            else denseHop(g, c, acc, last, ascending)
+          done = last || norm < eps
           iter += 1
         }
       } finally if (team != null) team.stop()
@@ -321,28 +330,36 @@ object LocalCpi {
     }
 
     /** One hop over the frontier; the nodes it reaches, marked `tag`, become
-      * the next frontier. Returns ‖x^(i)‖₁. The `last` hop leaves that
-      * frontier unsorted: no hop follows, and its norm decides nothing.
+      * the next frontier. A hop with a successor sets one bit of `listed` per
+      * node it lists and reads the next frontier back from it in ascending
+      * order, emptying each word it reads; the norm and r follow that order.
+      * The `last` hop lists its nodes in the order it reaches them and
+      * returns 0 without a norm.
       */
     private def sparseHop(g: LocalGraph, c: Double, tag: Int, acc: Boolean, last: Boolean): Double = {
+      val x = this.x; val nx = this.nx; val r = this.r; val mark = this.mark
+      val front = this.front; val next = this.next; val listed = this.listed
+      val offsets = g.offsets; val targets = g.targets
+      listing = !last
       var nextLen = 0
       var k = 0
       while (k < frontLen) {
         val u = front(k)
         val xu = x(u)
         if (xu != 0.0) {
-          val d = g.outDeg(u)
+          var j = offsets(u)
+          val end = offsets(u + 1)
+          val d = end - j
           if (d > 0) {
             val share = xu * (1.0 - c) / d
-            var j = g.offsets(u)
-            val end = g.offsets(u + 1)
             while (j < end) {
-              val v = g.targets(j)
+              val v = targets(j)
               nx(v) += share
               if (mark(v) != tag) {
                 if (mark(v) == 0) { touched(touchedLen) = v; touchedLen += 1 }
                 mark(v) = tag
-                next(nextLen) = v; nextLen += 1
+                if (last) next(nextLen) = v else listed(v >>> 6) |= 1L << v
+                nextLen += 1
               }
               j += 1
             }
@@ -351,51 +368,84 @@ object LocalCpi {
         x(u) = 0.0
         k += 1
       }
-      if (!last) Arrays.sort(next, 0, nextLen)
       var norm = 0.0
-      k = 0
-      while (k < nextLen) {
-        val v = next(k)
-        norm += nx(v)
-        if (acc) r(v) += nx(v)
-        k += 1
+      if (last) {
+        if (acc) { k = 0; while (k < nextLen) { val v = next(k); r(v) += nx(v); k += 1 } }
+      } else {
+        k = 0
+        var w = 0
+        while (k < nextLen) {
+          var bits = listed(w)
+          if (bits != 0L) {
+            listed(w) = 0L
+            while (bits != 0L) {
+              val v = (w << 6) + java.lang.Long.numberOfTrailingZeros(bits)
+              bits &= bits - 1
+              next(k) = v; k += 1
+              norm += nx(v)
+              if (acc) r(v) += nx(v)
+            }
+          }
+          w += 1
+        }
+        listing = false
       }
-      val xs = x; x = nx; nx = xs
-      val fs = front; front = next; next = fs
+      this.x = nx; this.nx = x
+      this.front = next; this.next = front
       frontLen = nextLen
       norm
     }
 
-    /** One hop as a full ascending scan of all n nodes. Returns ‖x^(i)‖₁.
-      * The arrays are read into locals and the norm and r loops are kept
-      * apart: with field reads in the loops, or with the two loops merged,
-      * the hop measured a few per cent slower than the plain dense loop.
+    /** One dense hop: pushes every non-zero x(u) in ascending u and returns
+      * ‖x^(i)‖₁. The first dense hop (`ascending`) walks the frontier the
+      * sparse hops left, zeroing x as it goes; a later one scans all n nodes
+      * and fills x after. The `last` hop returns 0 without the norm or the
+      * fill: [[clear]] zeroes the arrays. The arrays are read into locals
+      * and the norm and r loops are kept apart: with field reads in the
+      * loops, or with the two loops merged, the hop measured a few per cent
+      * slower than the plain dense loop.
       */
-    private def denseHop(g: LocalGraph, c: Double, acc: Boolean): Double = {
+    private def denseHop(g: LocalGraph, c: Double, acc: Boolean, last: Boolean, ascending: Boolean): Double = {
       val x = this.x; val nx = this.nx; val r = this.r
       val offsets = g.offsets; val targets = g.targets
-      var u = 0
-      while (u < n) {
-        val xu = x(u)
-        if (xu != 0.0) {
-          var j = offsets(u)
-          val end = offsets(u + 1)
-          val d = end - j
-          if (d > 0) {
-            val share = xu * (1.0 - c) / d
-            while (j < end) { nx(targets(j)) += share; j += 1 }
-          }
+      if (ascending) {
+        val front = this.front
+        var k = 0
+        while (k < frontLen) {
+          val u = front(k)
+          push(x(u), u, c, offsets, targets, nx)
+          x(u) = 0.0
+          k += 1
         }
-        u += 1
+      } else {
+        var u = 0
+        while (u < n) { push(x(u), u, c, offsets, targets, nx); u += 1 }
       }
+      var u = 0
+      if (acc) while (u < n) { r(u) += nx(u); u += 1 }
+      if (last) return 0.0
       var norm = 0.0
       u = 0
       while (u < n) { norm += nx(u); u += 1 }
-      if (acc) { u = 0; while (u < n) { r(u) += nx(u); u += 1 } }
-      Arrays.fill(x, 0.0)
+      if (!ascending) Arrays.fill(x, 0.0)
       this.x = nx; this.nx = x
       norm
     }
+
+    /** Adds u's share of xu to each of its out-neighbors in nx; nothing
+      * when xu = 0 or u is dangling.
+      */
+    private def push(xu: Double, u: Int, c: Double, offsets: Array[Int], targets: Array[Int],
+                     nx: Array[Double]): Unit =
+      if (xu != 0.0) {
+        var j = offsets(u)
+        val end = offsets(u + 1)
+        val d = end - j
+        if (d > 0) {
+          val share = xu * (1.0 - c) / d
+          while (j < end) { nx(targets(j)) += share; j += 1 }
+        }
+      }
 
     /** Restores the all-zero invariant. */
     private[LocalCpi] def clear(): Unit = {
@@ -410,6 +460,7 @@ object LocalCpi {
           k += 1
         }
       }
+      if (listing) { Arrays.fill(listed, 0L); listing = false }
       frontLen = 0; touchedLen = 0; dense = false; pulled = false
     }
   }

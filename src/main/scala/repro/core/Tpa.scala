@@ -81,7 +81,7 @@ object Tpa {
 
   /** Rejects a bad query before any scratch is touched. */
   private def requireQuery(g: LocalGraph, s: Int, t: Int, seed: Int): Unit = {
-    require(seed >= 0 && seed < g.n, s"seed $seed out of range [0, ${g.n})")
+    LocalCpi.requireSeed(g.n, seed)
     require(s >= 1 && t >= s, s"need 1 <= S <= T, got S=$s T=$t")
   }
 }

@@ -154,6 +154,15 @@ class LocalCpiSpec extends AnyFunSuite {
     assert(java.util.Arrays.equals(r, ReferenceCpi.run(g, q, c, 0.0, 0, 30)))
   }
 
+  test("rwr and unitSeed reject a seed outside [0, n)") {
+    val g = graphs.head._2
+    for (seed <- Seq(-1, g.n, g.n + 7)) {
+      val e1 = intercept[IllegalArgumentException](LocalCpi.rwr(g, seed, c, eps))
+      val e2 = intercept[IllegalArgumentException](LocalCpi.unitSeed(g.n, seed))
+      for (e <- Seq(e1, e2)) assert(e.getMessage.contains(s"seed $seed out of range [0, ${g.n})"))
+    }
+  }
+
   test("seed vector length mismatch is rejected") {
     val g = graphs.head._2
     intercept[IllegalArgumentException] {
@@ -243,6 +252,76 @@ class LocalCpiSpec extends AnyFunSuite {
       }
       assertIdentical(kernel(g, unit, 0, 2).r, expected)
     }
+  }
+
+  /** A small RMAT graph, whose unit seeds go dense on every hop from 1 to
+    * 4 (hubs on hop 1), and a graph with a dangling node.
+    */
+  val hopGraphs = Seq(
+    "rmat-128" -> GraphGen.rmat(7, 800, 1),
+    "with-dangling-100" -> TestGraphs.withDangling(100, 500, 3))
+
+  /** The first hop of the window [0, 4] that runs dense, if any. */
+  def denseFrom(g: LocalGraph, seed: Int): Option[Int] = {
+    val q = LocalCpi.unitSeed(g.n, seed)
+    (0 to 4).find(k => kernel(g, q, 0, k).dense)
+  }
+
+  test("kernel: on a small RMAT graph the switch to dense lands on each of hops 1-4 for some seed") {
+    val (_, g) = hopGraphs.head
+    val hops = (0 until g.n).flatMap(denseFrom(g, _)).toSet
+    assert(hops == Set(1, 2, 3, 4))
+  }
+
+  for ((name, g) <- hopGraphs; s <- 1 to 5) {
+    test(s"kernel: family and online equal the dense loop bit for bit for every seed on $name S=$s") {
+      val t = 6
+      val model = Tpa.preprocess(g, c, eps, t)
+      for (seed <- 0 until g.n) {
+        val q = LocalCpi.unitSeed(g.n, seed)
+        assertIdentical(Tpa.family(g, c, s, seed, eps), ReferenceCpi.run(g, q, c, eps, 0, s - 1))
+        assertIdentical(Tpa.online(g, model, s, seed, eps), ReferenceCpi.tpa(g, c, s, t, seed, eps))
+      }
+    }
+  }
+
+  test("kernel: a sparse run after one whose first dense hop walked the frontier, and after a throwing use, equals the dense loop") {
+    val (_, g) = hopGraphs.head
+    val switchSeed = (0 until g.n).find(denseFrom(g, _).contains(2)).get
+    val sparseSeed = (0 until g.n).find(denseFrom(g, _).contains(4)).get
+    val switchUnit = LocalCpi.unitSeed(g.n, switchSeed)
+    val sparseUnit = LocalCpi.unitSeed(g.n, sparseSeed)
+    val expected = ReferenceCpi.run(g, sparseUnit, c, eps, 0, 2)
+    for (tIter <- Seq(2, 3)) {
+      val run = kernel(g, switchUnit, 0, tIter)
+      assert(run.dense)
+      assertIdentical(run.r, ReferenceCpi.run(g, switchUnit, c, eps, 0, tIter))
+      val sparse = kernel(g, sparseUnit, 0, 2)
+      assert(!sparse.dense)
+      assertIdentical(sparse.r, expected)
+    }
+    for (q <- Seq(switchUnit, sparseUnit); tIter <- Seq(1, 2, 3)) {
+      intercept[IllegalStateException] {
+        LocalCpi.accumulate(g, c, eps, 0, tIter)(_.startFrom(q))(_ => throw new IllegalStateException)
+      }
+      assertIdentical(kernel(g, sparseUnit, 0, 2).r, expected)
+    }
+  }
+
+  test("kernel: scratch is all-zero after a sparse hop that throws while it lists the next frontier") {
+    val (_, g) = hopGraphs.head
+    val seed = (0 until g.n).find(s => g.outDeg(s) > 1 && denseFrom(g, s).exists(_ > 2)).get
+    // The seed's last out-neighbor is the last node of hop 2's sparse
+    // frontier; its last edge points outside the graph, so the hop throws
+    // after its other nodes listed theirs.
+    val u = g.targets(g.offsets(seed + 1) - 1)
+    val targets = g.targets.clone()
+    targets(g.offsets(u + 1) - 1) = g.n + 5
+    val broken = new LocalGraph(g.n, g.offsets, targets)
+    val q = LocalCpi.unitSeed(g.n, seed)
+    val expected = ReferenceCpi.run(g, q, c, eps, 0, 3)
+    intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, q, c, eps, 0, 3))
+    assertIdentical(kernel(g, q, 0, 3).r, expected)
   }
 
   test("team: a graph below the team's edge floor never pulls") {

@@ -21,7 +21,8 @@ import repro.graph.LocalGraph
   * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
   * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
   * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]]: the
-  * calling thread and common-pool helpers pull over the reverse graph, on
+  * calling thread and common-pool helpers pull over the graph's in-lists,
+  * laid out in degree order per range ([[LocalGraph.pullLayout]]), on
   * every core. A run costs the edges it touches, and its dense arrays are
   * reused per thread.
   */
@@ -99,51 +100,41 @@ object LocalCpi {
 
   private val scratch = new ThreadLocal[Scratch]
 
-  /** Number of node ranges of a pull hop, and of a team's threads. */
-  private val Parts = Runtime.getRuntime.availableProcessors
-
-  /** A node costs a pull range about as much as this many in-edges: the
-    * loop over a short in-list is dominated by its entry and exit. Measured
-    * on the twitter-s analog, where the ranges then take equal time.
-    */
-  private val NodeCost = 16L
-
-  /** First node of pull range k: the ranges split the cost of the reverse
-    * graph `rev`, NodeCost per node plus one per in-edge, evenly.
-    */
-  private def splitAt(rev: LocalGraph, k: Int): Int = {
-    val goal = (NodeCost * rev.n + rev.m) * k / Parts
-    var lo = 0; var hi = rev.n
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (NodeCost * mid + rev.offsets(mid) < goal) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
-  /** The dense hops of one run, pulled over the reverse graph by the
-    * calling thread and Parts − 1 common-pool helpers that stay until
-    * [[stop]]; on one core, by the caller alone. A hop's node ranges are
-    * claimed from one atomic counter, so the caller can pull every range
-    * alone: it waits only for ranges a running helper claimed, never for a
-    * helper the pool has not started.
+  /** The dense hops of one run, pulled over the graph's
+    * [[LocalGraph.pullLayout]] by the calling thread and one common-pool
+    * helper per further range, which stay until [[stop]]; on one core, by
+    * the caller alone. A hop's ranges are claimed from one atomic counter,
+    * so the caller can pull every range alone: it waits only for ranges a
+    * running helper claimed, never for a helper the pool has not started.
     *
     * `share` holds each node's share x(u)·(1−c)/outdeg(u) of x^(i-1) (0 for
     * a dangling u). A range sums, for each of its nodes v, the shares of
     * v's in-list (ascending sources) into x^(i)(v), adds it to r when the
     * hop accumulates, and writes v's own share into `nextShare`: the push
     * scan's expressions and order, so the run is bit-identical to it
-    * (DESIGN.md §2). Only the ascending norm loop runs on the caller alone.
+    * (DESIGN.md §2). Each range also sums its x^(i)(v) as a partial norm;
+    * the caller re-sums ‖x^(i)‖₁ in ascending order only where rounding
+    * could flip `norm < eps`.
     */
-  private final class PullTeam(g: LocalGraph, c: Double, private var share: Array[Double],
+  private final class PullTeam(g: LocalGraph, c: Double, eps: Double, private var share: Array[Double],
                                private var nextShare: Array[Double], nx: Array[Double], r: Array[Double]) {
-    private val rev = g.reverse
-    private val bounds = Array.tabulate(Parts + 1)(splitAt(rev, _))
+    private val layout = g.pullLayout
+    private val ranges = layout.ranges
+    private val partials = new Array[Double](ranges)
+    /** The same n non-negative terms, summed as the ranges do and in
+      * ascending order, give sums that differ by at most about
+      * (n + ranges)·ulp(1) of their exact sum; this is 4 times that.
+      */
+    private val slack = 4.0 * (g.n + ranges) * Math.ulp(1.0)
+    /** True when x^(i-1) had a negative entry: the partials' sum may then
+      * cancel, and every hop's norm is summed in ascending order.
+      */
+    private var signed = false
     private var acc = false
     /** The current hop's number in the high 32 bits, its next unclaimed
       * range in the low 32. Hop 0 has every range claimed.
       */
-    private val work = new AtomicLong(Parts)
+    private val work = new AtomicLong(ranges)
     private val finished = new AtomicInteger
     @volatile private var failure: Throwable = null
     @volatile private var stopped = false
@@ -155,32 +146,40 @@ object LocalCpi {
       while (u < g.n) {
         val xu = share(u)
         if (xu != 0.0) {
+          if (xu < 0.0) signed = true
           val d = offsets(u + 1) - offsets(u)
           share(u) = if (d > 0) xu * (1.0 - c) / d else 0.0
         }
         u += 1
       }
       var k = 1
-      while (k < Parts) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
+      while (k < ranges) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
     }
 
     /** A helper leaves once it sees this; one the pool starts later, at once. */
     def stop(): Unit = stopped = true
 
-    /** One hop; returns ‖x^(i)‖₁. A range that threw is rethrown once every
-      * claimed range has finished, so no helper writes after the run.
+    /** One hop; returns ‖x^(i)‖₁, or a sum of the same terms in another
+      * order that lies on the same side of eps. A range that threw is
+      * rethrown once every claimed range has finished, so no helper writes
+      * after the run.
       */
     def hop(acc: Boolean): Double = {
       this.acc = acc
       finished.set(0)
       work.set(((work.get >>> 32) + 1) << 32)
       while (claim()) {}
-      while (finished.get < Parts) Thread.onSpinWait()
+      while (finished.get < ranges) Thread.onSpinWait()
       if (failure != null) throw failure
       val s = share; share = nextShare; nextShare = s
       var norm = 0.0
-      var v = 0
-      while (v < g.n) { norm += nx(v); v += 1 }
+      var k = 0
+      while (k < ranges) { norm += partials(k); k += 1 }
+      if (signed || !(math.abs(norm - eps) > slack * math.max(norm, eps))) {
+        norm = 0.0
+        var v = 0
+        while (v < g.n) { norm += nx(v); v += 1 }
+      }
       norm
     }
 
@@ -192,31 +191,37 @@ object LocalCpi {
     private def claim(): Boolean = {
       val w = work.get
       val k = w.toInt
-      if (k >= Parts) return false
+      if (k >= ranges) return false
       if (work.compareAndSet(w, w + 1)) {
-        try pull(bounds(k), bounds(k + 1))
+        try partials(k) = pull(layout.bounds(k), layout.bounds(k + 1))
         catch { case e: Throwable => failure = e }
         finished.incrementAndGet()
       }
       true
     }
 
-    private def pull(lo: Int, hi: Int): Unit = {
-      val inOffsets = rev.offsets; val sources = rev.targets; val offsets = g.offsets
+    /** Pulls the nodes at layout positions [lo, hi); returns the sum of their x^(i). */
+    private def pull(lo: Int, hi: Int): Double = {
+      val nodes = layout.nodes; val inOffsets = layout.inOffsets; val sources = layout.sources
+      val offsets = g.offsets
       val share = this.share; val next = this.nextShare; val nx = this.nx; val r = this.r
       val acc = this.acc
+      var part = 0.0
       var j = inOffsets(lo)
-      var v = lo
-      while (v < hi) {
-        val end = inOffsets(v + 1)
+      var p = lo
+      while (p < hi) {
+        val v = nodes(p)
+        val end = inOffsets(p + 1)
         var sum = 0.0
         while (j < end) { sum += share(sources(j)); j += 1 }
         nx(v) = sum
         if (acc) r(v) += sum
         val d = offsets(v + 1) - offsets(v)
         next(v) = if (d > 0) sum * (1.0 - c) / d else 0.0
-        v += 1
+        part += sum
+        p += 1
       }
+      part
     }
   }
 
@@ -307,7 +312,7 @@ object LocalCpi {
           if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
           if (mayPull && team == null && dense) {
             pulled = true
-            team = new PullTeam(g, c, x, pullShare, nx, r)
+            team = new PullTeam(g, c, eps, x, pullShare, nx, r)
             team.start()
           }
           val acc = iter >= sIter && iter <= tIter

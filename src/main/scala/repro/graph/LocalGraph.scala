@@ -30,11 +30,17 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
   }
 
   /** Graph with every edge reversed, built by [[LocalGraph.transpose]] on
-    * first use and kept. Every in-list is in ascending source order. The
-    * pull team of `LocalCpi`'s converging runs (on graphs of more than 2^14
-    * edges), HubPPR's backward push and [[inDeg]] read it.
+    * first use and kept. Every in-list is in ascending source order.
+    * HubPPR's backward push and [[inDeg]] read it; `LocalCpi`'s pull team
+    * reads [[pullLayout]] instead.
     */
   lazy val reverse: LocalGraph = LocalGraph.transpose(this)
+
+  /** The in-lists in the order of `LocalCpi`'s pull team, one range per
+    * core, built by [[PullLayout.build]] at the first team on this graph
+    * and kept.
+    */
+  lazy val pullLayout: PullLayout = PullLayout.build(this, PullLayout.Ranges)
 
   /** In-degree of node `u` (via the reverse graph). */
   def inDeg(u: Int): Int = reverse.outDeg(u)

@@ -180,8 +180,8 @@ class LocalCpiSpec extends AnyFunSuite {
   /** The kernel's result from `q`, and the path the run took. */
   final class Run(val r: Array[Double], val dense: Boolean, val pulled: Boolean)
 
-  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int): Run =
-    LocalCpi.accumulate(g, c, eps, sIter, tIter)(_.startFrom(q)) { sc =>
+  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int, tol: Double = eps): Run =
+    LocalCpi.accumulate(g, c, tol, sIter, tIter)(_.startFrom(q)) { sc =>
       new Run(sc.addTo(new Array[Double](g.n), 1.0), sc.isDense, sc.isPulled)
     }
 
@@ -338,7 +338,26 @@ class LocalCpiSpec extends AnyFunSuite {
     "random-24k" -> TestGraphs.random(24000, 300000, 31),
     "with-dangling-20k" -> TestGraphs.withDangling(20000, 300000, 32))
   val midGraph = "with-dangling-8k" -> TestGraphs.withDangling(8000, 60000, 33)
-  val teamGraphs = pullGraphs :+ midGraph
+  /** `fromEdges` as a user calls it: 5,000 edges given twice, the last 499
+    * nodes reached by no edge but node 0's one edge to node n − 1, which
+    * has no out-edge, and a few other dangling nodes by chance.
+    */
+  val rawGraph = "raw-6k" -> {
+    val n = 6000
+    val rng = new scala.util.Random(36)
+    val src = Array.fill(30000)(rng.nextInt(n - 1))
+    val dst = Array.fill(30000)(rng.nextInt(n - 500))
+    LocalGraph.fromEdges(n, src ++ src.take(5000) :+ 0, dst ++ dst.take(5000) :+ (n - 1))
+  }
+  val teamGraphs = pullGraphs :+ midGraph :+ rawGraph
+  /** Three nodes and 18,000 parallel edges: fewer nodes than a team on four
+    * or more cores has ranges, so some ranges are empty.
+    */
+  val multiGraph = "multi-3" -> {
+    val pairs = Seq((0, 1) -> 9000, (1, 2) -> 6000, (2, 0) -> 2000, (2, 1) -> 1000)
+      .flatMap { case (edge, copies) => Seq.fill(copies)(edge) }
+    LocalGraph.fromEdges(3, pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+  }
 
   /** The window runs with a team exactly when it has no finite end. */
   def assertPath(run: Run, tIter: Int): Unit = {
@@ -346,7 +365,7 @@ class LocalCpiSpec extends AnyFunSuite {
     assert(run.pulled == (tIter == Int.MaxValue), s"tIter $tIter")
   }
 
-  for ((name, g) <- teamGraphs) {
+  for ((name, g) <- teamGraphs :+ multiGraph) {
     test(s"pull hop: a uniform seed equals the dense loop bit for bit on $name") {
       val q = LocalCpi.uniformSeed(g.n)
       assert(kernel(g, q, 0, 1).dense)
@@ -356,7 +375,9 @@ class LocalCpiSpec extends AnyFunSuite {
         assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
       }
     }
+  }
 
+  for ((name, g) <- teamGraphs) {
     test(s"pull hop: a unit-seed run that goes dense mid-way equals the dense loop bit for bit on $name") {
       val q = LocalCpi.unitSeed(g.n, 7)
       assert(!kernel(g, q, 0, 1).dense, "the first hop should be sparse")
@@ -403,7 +424,7 @@ class LocalCpiSpec extends AnyFunSuite {
   }
 
   test("pull hop: a dangling node leaks the same mass as in the dense loop") {
-    for ((name, g) <- Seq(pullGraphs(1), midGraph)) {
+    for ((name, g) <- Seq(pullGraphs(1), midGraph, rawGraph)) {
       val dangling = g.n - 1
       assert(g.outDeg(dangling) == 0 && g.inDeg(dangling) > 0, name)
       for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n))) {
@@ -411,6 +432,28 @@ class LocalCpiSpec extends AnyFunSuite {
         assertPath(run, Int.MaxValue)
         assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
         assert(TestGraphs.norm1(run.r) < 1.0 - 1e-6, name)
+      }
+    }
+  }
+
+  test("team: eps at, and one ulp above, a hop's ascending norm stops on the dense loop's hop") {
+    // The team sums its ranges' partial norms; near eps it must decide as
+    // the dense loop's ascending sum does. A seed of both signs, whose
+    // terms cancel, leaves the partials' rounding unbounded by the norm.
+    val (_, random) = pullGraphs.head
+    val signed = Array.tabulate(random.n)(v => (if (v % 2 == 0) 1e6 else -1e6) + 1.0 / random.n)
+    val cases = Seq(random -> LocalCpi.uniformSeed(random.n), rawGraph._2 -> LocalCpi.uniformSeed(rawGraph._2.n),
+      random -> signed)
+    for ((g, q) <- cases; k <- Seq(1, 2, 3, 17, 40)) {
+      val xk = ReferenceCpi.run(g, q, c, 0.0, k, k)
+      var norm = 0.0
+      for (v <- 0 until g.n) norm += xk(v)
+      for ((tol, stop) <- Seq(norm -> (k + 1), Math.nextUp(norm) -> k)) {
+        val run = kernel(g, q, 0, Int.MaxValue, tol)
+        assertPath(run, Int.MaxValue)
+        val expected = ReferenceCpi.run(g, q, c, tol, 0, Int.MaxValue)
+        assertIdentical(expected, ReferenceCpi.run(g, q, c, 0.0, 0, stop))
+        assertIdentical(run.r, expected)
       }
     }
   }
@@ -439,12 +482,14 @@ class LocalCpiSpec extends AnyFunSuite {
 
   test("team: a range that throws is rethrown by the caller, and the scratch is all-zero after") {
     val (_, clean) = midGraph
-    // The same edges with one in-list entry of the last node pointing
-    // outside the graph: whichever thread pulls that range throws.
+    // The same edges with the first in-list entry of the last node, in the
+    // pull layout, pointing outside the graph: whichever thread pulls that
+    // node's range throws.
     val broken = new LocalGraph(clean.n, clean.offsets, clean.targets)
     val v = broken.n - 1
     assert(broken.reverse.outDeg(v) > 0)
-    broken.reverse.targets(broken.reverse.offsets(v)) = broken.n + 5
+    val layout = broken.pullLayout
+    layout.sources(layout.inOffsets(layout.nodes.indexOf(v))) = broken.n + 5
     val uniform = LocalCpi.uniformSeed(clean.n)
     for (_ <- 0 until 5) {
       intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, uniform, c, eps, 0, Int.MaxValue))

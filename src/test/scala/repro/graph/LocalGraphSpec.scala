@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
 /** CSR construction correctness against a naive adjacency-map build,
-  * plus reverse-graph and degree invariants.
+  * plus reverse-graph, pull-layout and degree invariants.
   */
 class LocalGraphSpec extends AnyFunSuite {
 
@@ -88,6 +88,32 @@ class LocalGraphSpec extends AnyFunSuite {
     val rev = withDuplicates.reverse
     def inList(v: Int) = rev.targets.slice(rev.offsets(v), rev.offsets(v + 1)).toSeq
     assert(inList(0).count(_ == 0) >= 2 && inList(7).count(_ == 5) >= 2 && inList(5).contains(5))
+  }
+
+  // LocalCpi's pull team reads these layouts. A range is pulled by one
+  // thread, so it must own a contiguous block of nodes; its in-lists must be
+  // reverse's, so the pull sums stay bit-identical to the push scan.
+  for ((name, g) <- reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1))) {
+    test(s"pull layout: ranges permute contiguous node blocks by ascending in-degree, with reverse's in-lists, on $name") {
+      val rev = g.reverse
+      def inList(h: LocalGraph, v: Int) = h.targets.slice(h.offsets(v), h.offsets(v + 1)).toSeq
+      val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(PullLayout.build(g, _))
+      for (layout <- layouts) {
+        val b = layout.bounds
+        assert(b.head == 0 && b.last == g.n && b.sameElements(b.sorted), b.toSeq)
+        assert(layout.inOffsets.head == 0 && layout.inOffsets.last == g.m)
+        for (k <- 0 until layout.ranges) {
+          val range = layout.nodes.slice(b(k), b(k + 1))
+          assert(range.sorted.toSeq == (b(k) until b(k + 1)), s"range $k of ${layout.ranges}")
+          val keys = range.map(v => (rev.outDeg(v), v)).toSeq
+          assert(keys == keys.sorted, s"range $k of ${layout.ranges}")
+        }
+        for (p <- 0 until g.n) {
+          val sources = layout.sources.slice(layout.inOffsets(p), layout.inOffsets(p + 1)).toSeq
+          assert(sources == inList(rev, layout.nodes(p)), s"in-list of ${layout.nodes(p)}")
+        }
+      }
+    }
   }
 
   test("out-degrees sum to m; in-degrees sum to m") {

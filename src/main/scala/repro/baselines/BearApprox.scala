@@ -90,7 +90,7 @@ object BearApprox {
   /** Online query via block elimination. */
   def query(model: Model, seed: Int): Array[Double] = {
     val n = model.order.length
-    require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
+    LocalGraph.requireSeed(n, seed)
     val n1 = model.n1
     val q = DenseVector.zeros[Double](n)
     // position of seed in permuted coordinates

@@ -7,7 +7,8 @@ import scala.collection.mutable
   * hub index.
   *
   * A single-pair PPR query π(s,t) combines:
-  *  - a backward push from target t (Andersen et al. reverse push),
+  *  - a backward push from target t (Andersen et al. reverse push) over
+  *    the graph's in-lists ([[LocalGraph.foreachIn]]),
   *    yielding estimates `p_t` and residuals `res_t` with the invariant
   *    `π(s,t) = p_t(s) + Σ_v π(s,v) · res_t(v)`, and
   *  - Monte-Carlo forward walks from s: a walk that restarts (i.e.
@@ -33,9 +34,11 @@ object HubPpr {
       index.valuesIterator.map(pr => 12L * (pr.p.size + pr.res.size)).sum
   }
 
-  /** Backward push from target `t` until every residual ≤ `rMax`. */
+  /** Backward push from target `t` until every residual ≤ `rMax`. Rejects
+    * a `t` outside [0, n).
+    */
   def backwardPush(g: LocalGraph, t: Int, c: Double, rMax: Double): PushResult = {
-    val rev = g.reverse
+    LocalGraph.requireSeed(g.n, t)
     val p = mutable.LongMap.empty[Double]
     val res = mutable.LongMap.empty[Double]
     res(t) = 1.0
@@ -50,7 +53,7 @@ object HubPpr {
         res(v) = 0.0
         p(v) = p.getOrElse(v.toLong, 0.0) + c * rv
         // propagate to in-neighbors u: res(u) += (1-c) rv / outdeg(u)
-        rev.foreachOut(v) { u =>
+        g.foreachIn(v) { u =>
           val du = g.outDeg(u)
           if (du > 0) {
             val nu = res.getOrElse(u, 0.0) + (1.0 - c) * rv / du
@@ -110,7 +113,7 @@ object HubPpr {
   /** Full RWR vector from `s`: one bidirectional query per target node. */
   def fullVector(model: Model, g: LocalGraph, s: Int, walks: Int,
                  rng: scala.util.Random): Array[Double] = {
-    require(s >= 0 && s < g.n, s"seed $s out of range [0, ${g.n})")
+    LocalGraph.requireSeed(g.n, s)
     val endpoints = sampleEndpoints(g, s, model.c, walks, rng)
     Array.tabulate(g.n)(estimate(model, g, s, _, endpoints, walks))
   }

@@ -61,7 +61,7 @@ object NbLin {
 
   /** Online query: `r = c e_s + c(1-c) U Λ V e_s`. */
   def query(model: Model, seed: Int): Array[Double] = {
-    require(seed >= 0 && seed < model.v.cols, s"seed $seed out of range [0, ${model.v.cols})")
+    LocalGraph.requireSeed(model.v.cols, seed)
     val vq = model.v(::, seed).toDenseVector // V e_s = column s of V
     val core: DenseVector[Double] = model.u * (model.lambda * vq)
     val r = core *:* (model.c * (1.0 - model.c))

@@ -23,7 +23,7 @@ object Rppr {
 
   /** RPPR: push every node with residual > theta until none remain. */
   def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double): Array[Double] = {
-    requireSeed(g, seed)
+    LocalGraph.requireSeed(g.n, seed)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inQueue = new Array[Boolean](g.n)
@@ -64,7 +64,7 @@ object Rppr {
     * and the queue stays O(n) instead of O(edge traversals).
     */
   def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double): Array[Double] = {
-    requireSeed(g, seed)
+    LocalGraph.requireSeed(g.n, seed)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inPq = new Array[Boolean](g.n)
@@ -99,7 +99,4 @@ object Rppr {
     }
     p
   }
-
-  private def requireSeed(g: LocalGraph, seed: Int): Unit =
-    require(seed >= 0 && seed < g.n, s"seed $seed out of range [0, ${g.n})")
 }

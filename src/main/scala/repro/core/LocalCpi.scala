@@ -43,13 +43,9 @@ object LocalCpi {
 
   /** Unit seed vector e_s (RWR from seed `s`). */
   def unitSeed(n: Int, s: Int): Array[Double] = {
-    requireSeed(n, s)
+    LocalGraph.requireSeed(n, s)
     val q = new Array[Double](n); q(s) = 1.0; q
   }
-
-  /** Rejects a seed node outside [0, n). */
-  private[core] def requireSeed(n: Int, seed: Int): Unit =
-    require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
 
   /** Uniform seed vector 1/n (PageRank). */
   def uniformSeed(n: Int): Array[Double] = Array.fill(n)(1.0 / n)

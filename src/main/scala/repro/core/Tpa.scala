@@ -81,7 +81,7 @@ object Tpa {
 
   /** Rejects a bad query before any scratch is touched. */
   private def requireQuery(g: LocalGraph, s: Int, t: Int, seed: Int): Unit = {
-    LocalCpi.requireSeed(g.n, seed)
+    LocalGraph.requireSeed(g.n, seed)
     require(s >= 1 && t >= s, s"need 1 <= S <= T, got S=$s T=$t")
   }
 }

@@ -11,7 +11,9 @@ package repro.graph
   * collect the graph.
   *
   * `offsets` has length n+1; out-neighbors of `u` are
-  * `targets(offsets(u) until offsets(u+1))`.
+  * `targets(offsets(u) until offsets(u+1))`. Its in-lists are kept once,
+  * in [[pullLayout]], and read by node through [[foreachIn]] and
+  * [[inDeg]].
   */
 final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[Int]) {
   require(offsets.length == n + 1, s"offsets length ${offsets.length} != n+1")
@@ -29,21 +31,30 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     while (i < end) { f(targets(i)); i += 1 }
   }
 
-  /** Graph with every edge reversed, built by [[LocalGraph.transpose]] on
-    * first use and kept. Every in-list is in ascending source order.
-    * HubPPR's backward push and [[inDeg]] read it; `LocalCpi`'s pull team
-    * reads [[pullLayout]] instead.
-    */
-  lazy val reverse: LocalGraph = LocalGraph.transpose(this)
-
-  /** The in-lists in the order of `LocalCpi`'s pull team, one range per
-    * core, built by [[PullLayout.build]] at the first team on this graph
-    * and kept.
+  /** The graph's in-lists, in the order of `LocalCpi`'s pull team, one
+    * range per core, built by [[PullLayout.build]] on first use and kept.
+    * The pull team reads it directly; [[foreachIn]] and [[inDeg]] read
+    * it by node.
     */
   lazy val pullLayout: PullLayout = PullLayout.build(this, PullLayout.Ranges)
 
-  /** In-degree of node `u` (via the reverse graph). */
-  def inDeg(u: Int): Int = reverse.outDeg(u)
+  /** In-degree of node `v`. */
+  def inDeg(v: Int): Int = {
+    val layout = pullLayout
+    val p = layout.position(v)
+    layout.inOffsets(p + 1) - layout.inOffsets(p)
+  }
+
+  /** Apply `f` to each in-neighbor of `v`, in ascending source order, with
+    * the copies of a duplicate edge next to each other.
+    */
+  @inline def foreachIn(v: Int)(f: Int => Unit): Unit = {
+    val layout = pullLayout
+    val p = layout.position(v)
+    var i = layout.inOffsets(p)
+    val end = layout.inOffsets(p + 1)
+    while (i < end) { f(layout.sources(i)); i += 1 }
+  }
 
   /** `n=… m=… edge_hash=…`, where the edge hash Σ mix64(s·n + d) over the
     * edges ([[GraphGen.mix64]]) does not depend on their order, so the same
@@ -94,34 +105,7 @@ object LocalGraph {
     require(i < 0, s"edge $i (${src(i)} -> ${dst(i)}) has an endpoint outside [0, $n)")
   }
 
-  /** The transpose of `g` in O(n + m): a counting sort of g's edges by
-    * target. The edges are visited in CSR order, so every in-list comes out
-    * in ascending source order, with the copies of a duplicate edge next
-    * to each other; the arrays are those `fromEdges` builds from the
-    * reversed edge list in that order.
-    */
-  def transpose(g: LocalGraph): LocalGraph = {
-    val n = g.n; val offsets = g.offsets; val targets = g.targets
-    // No cursor array: in-degrees are counted two slots up, so after the
-    // prefix sum inOffsets(t + 1) is where t's in-list starts. Filling
-    // advances it to where that list ends, which is its final value.
-    val inOffsets = new Array[Int](n + 1)
-    var j = 0
-    while (j < targets.length) { if (targets(j) + 1 < n) inOffsets(targets(j) + 2) += 1; j += 1 }
-    var v = 1
-    while (v < n) { inOffsets(v + 1) += inOffsets(v); v += 1 }
-    val sources = new Array[Int](targets.length)
-    var u = 0
-    while (u < n) {
-      j = offsets(u)
-      val end = offsets(u + 1)
-      while (j < end) {
-        val slot = targets(j) + 1
-        sources(inOffsets(slot)) = u; inOffsets(slot) += 1
-        j += 1
-      }
-      u += 1
-    }
-    new LocalGraph(n, inOffsets, sources)
-  }
+  /** Rejects a seed node outside [0, n). */
+  private[repro] def requireSeed(n: Int, seed: Int): Unit =
+    require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
 }

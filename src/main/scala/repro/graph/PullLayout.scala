@@ -11,12 +11,16 @@ package repro.graph
   * in a row and its loop exit is predicted. The in-list of `nodes(p)` is
   * `sources(inOffsets(p) until inOffsets(p+1))`, stored in that order, with
   * the sources ascending and the copies of a duplicate edge next to each
-  * other: the in-list of [[LocalGraph.reverse]].
+  * other. `position` inverts `nodes`: node v sits at `position(v)`, which
+  * is how [[LocalGraph.foreachIn]] and [[LocalGraph.inDeg]] find its
+  * in-list.
   *
-  * It holds (2n + 1 + m) ints plus the bounds.
+  * It holds (3n + 1 + m) ints plus the bounds, and is the graph's only
+  * in-list structure.
   */
 final class PullLayout private (val bounds: Array[Int], val nodes: Array[Int],
-                                val inOffsets: Array[Int], val sources: Array[Int]) {
+                                val position: Array[Int], val inOffsets: Array[Int],
+                                val sources: Array[Int]) {
 
   /** Number of node ranges. */
   def ranges: Int = bounds.length - 1
@@ -81,12 +85,15 @@ object PullLayout {
       k += 1
     }
 
-    // The in-lists in that order: a counting sort of the edges by target, as
-    // in [[LocalGraph.transpose]]. `inDeg` becomes each node's fill cursor.
+    // The in-lists in that order: a counting sort of the edges by target,
+    // visited in CSR order, so each in-list's sources come out ascending.
+    // `inDeg` becomes each node's fill cursor.
+    val position = new Array[Int](n)
     val inOffsets = new Array[Int](n + 1)
     var p = 0
     while (p < n) {
       val w = nodes(p)
+      position(w) = p
       inOffsets(p + 1) = inOffsets(p) + inDeg(w)
       inDeg(w) = inOffsets(p)
       p += 1
@@ -99,6 +106,6 @@ object PullLayout {
       while (j < end) { val t = targets(j); sources(inDeg(t)) = u; inDeg(t) += 1; j += 1 }
       u += 1
     }
-    new PullLayout(bounds, nodes, inOffsets, sources)
+    new PullLayout(bounds, nodes, position, inOffsets, sources)
   }
 }

@@ -83,8 +83,10 @@ class HubPprSpec extends AnyFunSuite {
 
   test("fullVector rejects a seed outside [0, n)") {
     val model = HubPpr.Model(Map.empty, c, 1e-3)
-    for (seed <- Seq(-1, g.n))
+    for (seed <- Seq(-1, g.n)) {
       intercept[IllegalArgumentException](HubPpr.fullVector(model, g, seed, 10, new scala.util.Random(6)))
+      intercept[IllegalArgumentException](HubPpr.backwardPush(g, seed, c, 1e-3))
+    }
   }
 
   test("memoryBytes counts stored index entries") {

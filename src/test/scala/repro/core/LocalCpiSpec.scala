@@ -487,7 +487,7 @@ class LocalCpiSpec extends AnyFunSuite {
     // node's range throws.
     val broken = new LocalGraph(clean.n, clean.offsets, clean.targets)
     val v = broken.n - 1
-    assert(broken.reverse.outDeg(v) > 0)
+    assert(broken.inDeg(v) > 0)
     val layout = broken.pullLayout
     layout.sources(layout.inOffsets(layout.nodes.indexOf(v))) = broken.n + 5
     val uniform = LocalCpi.uniformSeed(clean.n)

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 
 /** CSR construction correctness against a naive adjacency-map build,
-  * plus reverse-graph, pull-layout and degree invariants.
+  * plus in-list, pull-layout and degree invariants.
   */
 class LocalGraphSpec extends AnyFunSuite {
 
@@ -31,22 +31,18 @@ class LocalGraphSpec extends AnyFunSuite {
   }
 
   for (seed <- 0 until 5) {
-    test(s"reverse of reverse is the original edge multiset (seed $seed)") {
+    test(s"the in-lists by node hold the original edge multiset (seed $seed)") {
       val n = 25
       val (src, dst) = randomPairs(n, 120, 100 + seed)
       val g = LocalGraph.fromEdges(n, src, dst)
-      val rr = g.reverse.reverse
-      def edgeSet(h: LocalGraph): Seq[(Int, Int)] = {
-        val b = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
-        for (u <- 0 until h.n) h.foreachOut(u)(v => b += ((u, v)))
-        b.sorted.toSeq
-      }
-      assert(edgeSet(rr) == edgeSet(g))
+      val viaIn = scala.collection.mutable.ArrayBuffer.empty[(Int, Int)]
+      for (v <- 0 until n) g.foreachIn(v)(u => viaIn += ((u, v)))
+      assert(viaIn.sorted.toSeq == src.indices.map(i => (src(i), dst(i))).sorted)
     }
   }
 
-  /** The reverse graph as it was built before the direct transpose: every
-    * edge flipped, in CSR order, then `fromEdges`.
+  /** The reference in-lists: every edge flipped, in CSR order, then
+    * `fromEdges`; out-list v of the result is in-list v of `g`.
     */
   private def reverseViaFromEdges(g: LocalGraph): LocalGraph = {
     val src = new Array[Int](g.m)
@@ -66,37 +62,48 @@ class LocalGraphSpec extends AnyFunSuite {
     "with-dangling-100" -> TestGraphs.withDangling(100, 500, 3),
     "duplicates-and-self-loops-30" -> withDuplicates)
 
+  private def inList(g: LocalGraph, v: Int): Seq[Int] = {
+    val b = scala.collection.mutable.ArrayBuffer.empty[Int]
+    g.foreachIn(v)(b += _)
+    b.toSeq
+  }
+
+  private def outList(g: LocalGraph, u: Int): Seq[Int] = g.targets.slice(g.offsets(u), g.offsets(u + 1)).toSeq
+
+  // "reverse" in these names is the by-node in-list view, `foreachIn` and
+  // `inDeg`, checked against the flipped edges' `fromEdges` build.
   for ((name, g) <- reverseCases) {
     test(s"reverse equals the fromEdges build of the flipped edges, array for array, on $name") {
       val expected = reverseViaFromEdges(g)
-      assert(g.reverse.n == g.n)
-      assert(java.util.Arrays.equals(g.reverse.offsets, expected.offsets))
-      assert(java.util.Arrays.equals(g.reverse.targets, expected.targets))
+      for (v <- 0 until g.n) {
+        assert(inList(g, v) == outList(expected, v), s"in-list of $v")
+        assert(g.inDeg(v) == expected.outDeg(v), s"in-degree of $v")
+      }
     }
 
     // LocalCpi's pull team sums each in-list in list order. Ascending sources
     // are the order in which the push scan adds the same terms, so this
     // invariant is what makes the pull hop bit-identical to it.
     test(s"every in-list of reverse is in ascending source order on $name") {
-      val rev = g.reverse
-      for (v <- 0 until rev.n; j <- rev.offsets(v) + 1 until rev.offsets(v + 1))
-        assert(rev.targets(j - 1) <= rev.targets(j), s"in-list of $v")
+      for (v <- 0 until g.n) {
+        val list = inList(g, v)
+        assert(list == list.sorted, s"in-list of $v")
+      }
     }
   }
 
   test("the duplicate-edge graph has duplicates and self-loops in its in-lists") {
-    val rev = withDuplicates.reverse
-    def inList(v: Int) = rev.targets.slice(rev.offsets(v), rev.offsets(v + 1)).toSeq
-    assert(inList(0).count(_ == 0) >= 2 && inList(7).count(_ == 5) >= 2 && inList(5).contains(5))
+    val g = withDuplicates
+    assert(inList(g, 0).count(_ == 0) >= 2 && inList(g, 7).count(_ == 5) >= 2 && inList(g, 5).contains(5))
   }
 
   // LocalCpi's pull team reads these layouts. A range is pulled by one
   // thread, so it must own a contiguous block of nodes; its in-lists must be
-  // reverse's, so the pull sums stay bit-identical to the push scan.
+  // the flipped edges' in CSR order, so the pull sums stay bit-identical to
+  // the push scan.
   for ((name, g) <- reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1))) {
     test(s"pull layout: ranges permute contiguous node blocks by ascending in-degree, with reverse's in-lists, on $name") {
-      val rev = g.reverse
-      def inList(h: LocalGraph, v: Int) = h.targets.slice(h.offsets(v), h.offsets(v + 1)).toSeq
+      val rev = reverseViaFromEdges(g)
       val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(PullLayout.build(g, _))
       for (layout <- layouts) {
         val b = layout.bounds
@@ -109,8 +116,9 @@ class LocalGraphSpec extends AnyFunSuite {
           assert(keys == keys.sorted, s"range $k of ${layout.ranges}")
         }
         for (p <- 0 until g.n) {
+          assert(layout.position(layout.nodes(p)) == p, s"position of ${layout.nodes(p)}")
           val sources = layout.sources.slice(layout.inOffsets(p), layout.inOffsets(p + 1)).toSeq
-          assert(sources == inList(rev, layout.nodes(p)), s"in-list of ${layout.nodes(p)}")
+          assert(sources == outList(rev, layout.nodes(p)), s"in-list of ${layout.nodes(p)}")
         }
       }
     }
@@ -126,6 +134,7 @@ class LocalGraphSpec extends AnyFunSuite {
   test("in-degree counts incoming edges") {
     val g = LocalGraph.fromEdges(4, Array(0, 1, 2), Array(3, 3, 3))
     assert(g.inDeg(3) == 3 && g.inDeg(0) == 0)
+    assert(inList(g, 3) == Seq(0, 1, 2) && inList(g, 0).isEmpty)
     assert(g.outDeg(3) == 0 && g.outDeg(0) == 1)
   }
 

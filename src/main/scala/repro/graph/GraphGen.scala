@@ -66,11 +66,13 @@ object GraphGen {
     * for e in [0, `mTarget`): self-loops dropped, duplicates removed by
     * sorting the keys s·n + d, then every node without an out-edge gets
     * the edge u → (u+1) mod n, so Ã^T is column-stochastic and the paper's
-    * norm lemmas (`‖x^(i)‖₁ = c(1-c)^i`) hold exactly.
+    * norm lemmas (`‖x^(i)‖₁ = c(1-c)^i`) hold exactly. The patch edges are
+    * merged into place, so the edge list reaches `fromEdges` sorted by
+    * (src, dst).
     */
   private def fromDraws(n: Int, mTarget: Long, seed: Long)(draw: Long => (Long, Long)): LocalGraph = {
     require(mTarget >= 0 && mTarget + n < Int.MaxValue, s"cannot hold $mTarget edges over $n nodes")
-    val keys = new Array[Long]((mTarget + n).toInt)
+    val keys = new Array[Long](mTarget.toInt)
     val seedHash = mix64(seed)
     var k = 0
     var e = 0L
@@ -87,17 +89,24 @@ object GraphGen {
       i += 1
     }
     val hasOut = new Array[Boolean](n)
+    var dangling = n
     i = 0
-    while (i < m) { hasOut((keys(i) / n).toInt) = true; i += 1 }
+    while (i < m) {
+      val s = (keys(i) / n).toInt
+      if (!hasOut(s)) { hasOut(s) = true; dangling -= 1 }
+      i += 1
+    }
+    val src = new Array[Int](m + dangling)
+    val dst = new Array[Int](m + dangling)
+    var out = 0
+    i = 0
     var u = 0
     while (u < n) {
-      if (!hasOut(u)) { keys(m) = u.toLong * n + (u + 1) % n; m += 1 }
+      if (hasOut(u))
+        while (i < m && keys(i) / n == u) { src(out) = u; dst(out) = (keys(i) % n).toInt; out += 1; i += 1 }
+      else { src(out) = u; dst(out) = (u + 1) % n; out += 1 }
       u += 1
     }
-    val src = new Array[Int](m)
-    val dst = new Array[Int](m)
-    i = 0
-    while (i < m) { src(i) = (keys(i) / n).toInt; dst(i) = (keys(i) % n).toInt; i += 1 }
     LocalGraph.fromEdges(n, src, dst)
   }
 

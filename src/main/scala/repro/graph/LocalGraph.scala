@@ -10,13 +10,15 @@ package repro.graph
   * read its edges as a DataFrame ([[GraphGen.edgeFrame]]) and never
   * collect the graph.
   *
-  * `offsets` has length n+1; out-neighbors of `u` are
+  * `offsets` has length n+1, from 0 to m; out-neighbors of `u` are
   * `targets(offsets(u) until offsets(u+1))`. Its in-lists are kept once,
   * in [[pullLayout]], and read by node through [[foreachIn]] and
   * [[inDeg]].
   */
 final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[Int]) {
-  require(offsets.length == n + 1, s"offsets length ${offsets.length} != n+1")
+  require(n >= 0 && offsets.length == n + 1, s"offsets length ${offsets.length} != n+1")
+  require(offsets(0) == 0 && offsets(n) == targets.length,
+    s"offsets run from ${offsets(0)} to ${offsets(n)}, not from 0 to m = ${targets.length}")
 
   /** Number of directed edges. */
   def m: Int = targets.length
@@ -70,11 +72,49 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
 
 object LocalGraph {
 
-  /** Build CSR from parallel edge arrays (src(i) -> dst(i)). Rejects an
-    * endpoint outside [0, n), naming the first edge that has one.
+  /** Build CSR from parallel edge arrays (src(i) -> dst(i)). Each out-list
+    * keeps its edges in input order. Rejects an endpoint outside [0, n),
+    * naming the first edge that has one.
+    *
+    * The count pass takes `src`'s non-decreasing prefix run by run: one
+    * range check and one store per run of equal sources. If that prefix
+    * is all of `src`, the list is already in CSR order and `targets` is a
+    * copy of `dst`; otherwise [[scatter]] builds the CSR.
     */
   def fromEdges(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
-    require(src.length == dst.length)
+    require(n >= 0, s"node count $n is negative")
+    require(src.length == dst.length, s"${src.length} sources but ${dst.length} targets")
+    val m = src.length
+    // offsets(u + 1) counts u's edges here, and becomes u's end below.
+    val offsets = new Array[Int](n + 1)
+    var i = 0
+    var last = 0
+    while (i < m && src(i) >= last) {
+      val u = src(i)
+      if (u >= n) requireEndpoints(n, src, dst)
+      var j = i + 1
+      while (j < m && src(j) == u) j += 1
+      offsets(u + 1) = j - i
+      last = u; i = j
+    }
+    if (i < m) return scatter(n, src, dst)
+    i = 0
+    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
+    // v | (n - 1 - v) is negative exactly when v < 0 or v >= n.
+    var bad = 0
+    i = 0
+    while (i < m) { val v = dst(i); bad |= v | (n - 1 - v); i += 1 }
+    if (bad < 0) requireEndpoints(n, src, dst)
+    new LocalGraph(n, offsets, java.util.Arrays.copyOf(dst, m))
+  }
+
+  /** [[fromEdges]] on a list whose sources are not sorted: counts the
+    * edges of each source one by one, then puts each edge at the next free
+    * slot of its source. Restarting from the first edge, into arrays of its
+    * own, was faster on shuffled input than carrying on from the sorted
+    * prefix's counts.
+    */
+  private def scatter(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
     val deg = new Array[Int](n)
     var i = 0
     while (i < src.length) {

@@ -74,6 +74,17 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
+  // RMAT and ER merge their dangling-node patches into the sorted, deduped
+  // keys, so every out-list is strictly ascending and reaches fromEdges sorted.
+  test("every analog's and random counterpart's out-lists are strictly ascending") {
+    for (spec <- Datasets.all; (kind, g) <- Seq("analog" -> spec.graph, "counterpart" -> spec.randomCounterpart)) {
+      val ascending = (0 until g.n).forall { u =>
+        (g.offsets(u) + 1 until g.offsets(u + 1)).forall(k => g.targets(k - 1) < g.targets(k))
+      }
+      assert(ascending, s"${spec.name} $kind")
+    }
+  }
+
   test("the edge DataFrame of slashdot-s has the driver fingerprint on 1, 3 and 8 partitions") {
     val g = Datasets.slashdot.graph
     val df = GraphGen.edgeFrame(spark, g)

@@ -168,4 +168,58 @@ class LocalGraphSpec extends AnyFunSuite {
       new LocalGraph(3, Array(0, 1), Array(0))
     }
   }
+
+  test("offsets must start at 0 and end at m") {
+    val fromOne = intercept[IllegalArgumentException](new LocalGraph(2, Array(1, 1, 2), Array(0, 1)))
+    assert(fromOne.getMessage.contains("not from 0 to m = 2"))
+    val short = intercept[IllegalArgumentException](new LocalGraph(2, Array(0, 1, 1), Array(0, 1)))
+    assert(short.getMessage.contains("offsets run from 0 to 1"))
+    intercept[IllegalArgumentException](new LocalGraph(2, Array(0, 1, 3), Array(0, 1)))
+  }
+
+  test("fromEdges rejects a negative node count") {
+    val e = intercept[IllegalArgumentException](LocalGraph.fromEdges(-1, Array.empty[Int], Array.empty[Int]))
+    assert(e.getMessage.contains("node count -1 is negative"))
+  }
+
+  // fromEdges copies a source-sorted list and scatters any other order; both
+  // must give the same CSR. Nodes 0, 4 and 7 (start, middle, end) have no
+  // out-edge; 2 has a self-loop and 1 -> 3 and 5 -> 6 are duplicated.
+  private val multigraph = Seq(
+    1 -> 3, 1 -> 0, 1 -> 3, 2 -> 2, 2 -> 6, 3 -> 1, 5 -> 6, 5 -> 5, 5 -> 6, 6 -> 0, 6 -> 7)
+
+  /** The multigraph's edges in three orders. The sort keeps each source's
+    * edges in their order; the shuffle reorders them too.
+    */
+  private val multigraphOrders = Seq(
+    "sorted" -> multigraph,
+    "reverse-sorted" -> multigraph.sortBy(-_._1),
+    "shuffled" -> new scala.util.Random(4).shuffle(multigraph))
+
+  for ((order, edges) <- multigraphOrders) {
+    test(s"fromEdges on a $order multigraph keeps each out-list in input order") {
+      val g = LocalGraph.fromEdges(8, edges.map(_._1).toArray, edges.map(_._2).toArray)
+      assert(g.offsets.toSeq == Seq(0, 0, 3, 5, 6, 6, 9, 11, 11))
+      for (u <- 0 until 8) assert(outList(g, u) == edges.filter(_._1 == u).map(_._2), s"out-list of $u")
+    }
+  }
+
+  test("fromEdges on sorted sources keeps unsorted targets as given") {
+    val g = LocalGraph.fromEdges(6, Array(0, 0, 3), Array(5, 2, 1))
+    assert(outList(g, 0) == Seq(5, 2) && outList(g, 3) == Seq(1) && g.offsets.toSeq == Seq(0, 2, 2, 2, 3, 3, 3))
+  }
+
+  test("fromEdges rejects a bad target late in a sorted list, naming it") {
+    val src = Array.tabulate(1000)(_ / 10)
+    val dst = Array.tabulate(1000)(i => i % 100)
+    dst(987) = 100
+    assert(rejection(100, src, dst).contains("edge 987 (98 -> 100)"))
+  }
+
+  test("fromEdges names a bad target before a later bad source, sorted or not") {
+    // sorted: the bad source 9 is the last edge
+    assert(rejection(4, Array(0, 1, 1, 2, 9), Array(1, 2, -3, 0, 0)).contains("edge 2 (1 -> -3)"))
+    // unsorted: the bad source 9 comes right after the bad target
+    assert(rejection(4, Array(2, 1, 0, 9, 1), Array(1, 4, 0, 0, 2)).contains("edge 1 (1 -> 4)"))
+  }
 }

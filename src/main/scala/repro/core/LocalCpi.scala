@@ -22,9 +22,9 @@ import repro.graph.LocalGraph
   * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
   * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]]: the
   * calling thread and common-pool helpers pull over the graph's in-lists,
-  * laid out in degree order per range ([[LocalGraph.pullLayout]]), on
-  * every core. A run costs the edges it touches, and its dense arrays are
-  * reused per thread.
+  * laid out in one degree order and cut into chunks
+  * ([[LocalGraph.pullLayout]]), on every core. A run costs the edges it
+  * touches, and its dense arrays are reused per thread.
   */
 object LocalCpi {
 
@@ -96,68 +96,85 @@ object LocalCpi {
 
   private val scratch = new ThreadLocal[Scratch]
 
+  /** The common-pool helpers of a pull team: one per further core. */
+  private val Helpers = Runtime.getRuntime.availableProcessors - 1
+
   /** The dense hops of one run, pulled over the graph's
-    * [[LocalGraph.pullLayout]] by the calling thread and one common-pool
-    * helper per further range, which stay until [[stop]]; on one core, by
-    * the caller alone. A hop's ranges are claimed from one atomic counter,
-    * so the caller can pull every range alone: it waits only for ranges a
-    * running helper claimed, never for a helper the pool has not started.
+    * [[LocalGraph.pullLayout]] by the calling thread and [[Helpers]]
+    * common-pool helpers, which stay until [[stop]]; on one core, by the
+    * caller alone. A hop's chunks are claimed from one atomic counter,
+    * hubs first (highest positions first), so the caller can pull every
+    * chunk alone: it waits only for chunks a running helper claimed, never
+    * for a helper the pool has not started.
     *
-    * `share` holds each node's share x(u)·(1−c)/outdeg(u) of x^(i-1) (0 for
-    * a dangling u). A range sums, for each of its nodes v, the shares of
-    * v's in-list (ascending sources) into x^(i)(v), adds it to r when the
-    * hop accumulates, and writes v's own share into `nextShare`: the push
-    * scan's expressions and order, so the run is bit-identical to it
-    * (DESIGN.md §2). Each range also sums its x^(i)(v) as a partial norm;
-    * the caller re-sums ‖x^(i)‖₁ in ascending order only where rounding
-    * could flip `norm < eps`.
+    * The team works in layout positions: `share(p)` holds the share
+    * x(v)·(1−c)/outdeg(v) of x^(i-1) of node v = nodes(p) (0 for a dangling
+    * v), and `nx` and `rPos` hold x^(i) and r at v's position. A chunk
+    * sums, for each of its positions, the shares of the in-list (ascending
+    * source ids) into x^(i), adds it to r when the hop accumulates, and
+    * writes the node's own share into `nextShare`: the push scan's
+    * expressions and order, so the run is bit-identical to it
+    * (DESIGN.md §2). Each chunk also sums its x^(i) as a partial norm; the
+    * caller re-sums ‖x^(i)‖₁ in ascending id order only where rounding
+    * could flip `norm < eps`. [[finish]] writes r back by node.
     */
-  private final class PullTeam(g: LocalGraph, c: Double, eps: Double, private var share: Array[Double],
-                               private var nextShare: Array[Double], nx: Array[Double], r: Array[Double]) {
+  private final class PullTeam(g: LocalGraph, c: Double, eps: Double, x: Array[Double],
+                               private var share: Array[Double], nx: Array[Double],
+                               rPos: Array[Double], r: Array[Double]) {
     private val layout = g.pullLayout
-    private val ranges = layout.ranges
-    private val partials = new Array[Double](ranges)
-    /** The same n non-negative terms, summed as the ranges do and in
+    private val chunks = layout.chunks
+    private var nextShare = x
+    private val partials = new Array[Double](chunks)
+    /** The same n non-negative terms, summed as the chunks do and in
       * ascending order, give sums that differ by at most about
-      * (n + ranges)·ulp(1) of their exact sum; this is 4 times that.
+      * (n + chunks)·ulp(1) of their exact sum; this is 4 times that.
       */
-    private val slack = 4.0 * (g.n + ranges) * Math.ulp(1.0)
+    private val slack = 4.0 * (g.n + chunks) * Math.ulp(1.0)
     /** True when x^(i-1) had a negative entry: the partials' sum may then
       * cancel, and every hop's norm is summed in ascending order.
       */
     private var signed = false
     private var acc = false
-    /** The current hop's number in the high 32 bits, its next unclaimed
-      * range in the low 32. Hop 0 has every range claimed.
+    /** The current hop's number in the high 32 bits, the number of its
+      * chunks claimed so far in the low 32. Hop 0 has every chunk claimed.
       */
-    private val work = new AtomicLong(ranges)
+    private val work = new AtomicLong(chunks)
     private val finished = new AtomicInteger
     @volatile private var failure: Throwable = null
     @volatile private var stopped = false
 
-    /** Turns x^(i-1), held in `share`, into its shares, and sends the helpers. */
+    /** Writes the shares of x^(i-1), held by node in `x`, and r in layout
+      * order, and sends the helpers; `x` then holds the next shares.
+      */
     def start(): Unit = {
-      val offsets = g.offsets
-      var u = 0
-      while (u < g.n) {
-        val xu = share(u)
-        if (xu != 0.0) {
-          if (xu < 0.0) signed = true
-          val d = offsets(u + 1) - offsets(u)
-          share(u) = if (d > 0) xu * (1.0 - c) / d else 0.0
-        }
-        u += 1
+      val nodes = layout.nodes; val outDeg = layout.outDeg
+      var p = 0
+      while (p < g.n) {
+        val v = nodes(p)
+        val xv = x(v)
+        if (xv < 0.0) signed = true
+        val d = outDeg(p)
+        share(p) = if (d > 0) xv * (1.0 - c) / d else 0.0
+        rPos(p) = r(v)
+        p += 1
       }
-      var k = 1
-      while (k < ranges) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
+      var k = 0
+      while (k < Helpers) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
     }
 
     /** A helper leaves once it sees this; one the pool starts later, at once. */
     def stop(): Unit = stopped = true
 
+    /** Writes r back by node, once the last hop has returned. */
+    def finish(): Unit = {
+      val nodes = layout.nodes
+      var p = 0
+      while (p < g.n) { r(nodes(p)) = rPos(p); p += 1 }
+    }
+
     /** One hop; returns ‖x^(i)‖₁, or a sum of the same terms in another
-      * order that lies on the same side of eps. A range that threw is
-      * rethrown once every claimed range has finished, so no helper writes
+      * order that lies on the same side of eps. A chunk that threw is
+      * rethrown once every claimed chunk has finished, so no helper writes
       * after the run.
       */
     def hop(acc: Boolean): Double = {
@@ -165,30 +182,33 @@ object LocalCpi {
       finished.set(0)
       work.set(((work.get >>> 32) + 1) << 32)
       while (claim()) {}
-      while (finished.get < ranges) Thread.onSpinWait()
+      while (finished.get < chunks) Thread.onSpinWait()
       if (failure != null) throw failure
       val s = share; share = nextShare; nextShare = s
       var norm = 0.0
       var k = 0
-      while (k < ranges) { norm += partials(k); k += 1 }
+      while (k < chunks) { norm += partials(k); k += 1 }
       if (signed || !(math.abs(norm - eps) > slack * math.max(norm, eps))) {
+        val position = layout.position
         norm = 0.0
         var v = 0
-        while (v < g.n) { norm += nx(v); v += 1 }
+        while (v < g.n) { norm += nx(position(v)); v += 1 }
       }
       norm
     }
 
     private def help(): Unit = while (!stopped) if (!claim()) Thread.onSpinWait()
 
-    /** Claims and pulls one range of the current hop, or retries a lost
-      * claim; false once the hop has no unclaimed range.
+    /** Claims and pulls one chunk of the current hop, the highest unclaimed
+      * one, or retries a lost claim; false once the hop has no unclaimed
+      * chunk.
       */
     private def claim(): Boolean = {
       val w = work.get
-      val k = w.toInt
-      if (k >= ranges) return false
+      val claimed = w.toInt
+      if (claimed >= chunks) return false
       if (work.compareAndSet(w, w + 1)) {
+        val k = chunks - 1 - claimed
         try partials(k) = pull(layout.bounds(k), layout.bounds(k + 1))
         catch { case e: Throwable => failure = e }
         finished.incrementAndGet()
@@ -196,24 +216,22 @@ object LocalCpi {
       true
     }
 
-    /** Pulls the nodes at layout positions [lo, hi); returns the sum of their x^(i). */
+    /** Pulls layout positions [lo, hi); returns the sum of their x^(i). */
     private def pull(lo: Int, hi: Int): Double = {
-      val nodes = layout.nodes; val inOffsets = layout.inOffsets; val sources = layout.sources
-      val offsets = g.offsets
-      val share = this.share; val next = this.nextShare; val nx = this.nx; val r = this.r
+      val inOffsets = layout.inOffsets; val sources = layout.sources; val outDeg = layout.outDeg
+      val share = this.share; val next = this.nextShare; val nx = this.nx; val r = this.rPos
       val acc = this.acc
       var part = 0.0
       var j = inOffsets(lo)
       var p = lo
       while (p < hi) {
-        val v = nodes(p)
         val end = inOffsets(p + 1)
         var sum = 0.0
         while (j < end) { sum += share(sources(j)); j += 1 }
-        nx(v) = sum
-        if (acc) r(v) += sum
-        val d = offsets(v + 1) - offsets(v)
-        next(v) = if (d > 0) sum * (1.0 - c) / d else 0.0
+        nx(p) = sum
+        if (acc) r(p) += sum
+        val d = outDeg(p)
+        next(p) = if (d > 0) sum * (1.0 - c) / d else 0.0
         part += sum
         p += 1
       }
@@ -223,10 +241,11 @@ object LocalCpi {
 
   /** Dense per-thread arrays of one CPI run over n nodes.
     *
-    * Invariant: every array is all-zero between runs. In sparse mode a run
-    * writes only the nodes listed in `touched`, so [[clear]] resets just
-    * those; after the switch to the dense scan it may write any node, and
-    * [[clear]] fills whole arrays.
+    * Invariant: every array but a pull team's two is all-zero between runs.
+    * In sparse mode a run writes only the nodes listed in `touched`, so
+    * [[clear]] resets just those; after the switch to the dense scan it may
+    * write any node, and [[clear]] fills whole arrays. A team's start writes
+    * the whole of `pullShare` and `pullR`, so they are never reset.
     *
     * An ascending frontier adds the terms of each entry in the same order as
     * a full ascending scan, and a zero term changes no sum, so both modes
@@ -236,7 +255,8 @@ object LocalCpi {
     private var x = new Array[Double](n)    // x^(i-1); non-zero only on the frontier
     private var nx = new Array[Double](n)   // x^(i) while it is built
     private val r = new Array[Double](n)    // Σ x^(i) over the window
-    private val pullShare = new Array[Double](n) // a pull team's second share array
+    private val pullShare = new Array[Double](n) // a pull team's share array
+    private val pullR = new Array[Double](n)     // a pull team's r, in layout order
     private var front = new Array[Int](n)   // the frontier, ascending until the last hop
     private var next = new Array[Int](n)
     private var frontLen = 0
@@ -308,7 +328,7 @@ object LocalCpi {
           if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
           if (mayPull && team == null && dense) {
             pulled = true
-            team = new PullTeam(g, c, eps, x, pullShare, nx, r)
+            team = new PullTeam(g, c, eps, x, pullShare, nx, pullR, r)
             team.start()
           }
           val acc = iter >= sIter && iter <= tIter
@@ -320,6 +340,7 @@ object LocalCpi {
           done = last || norm < eps
           iter += 1
         }
+        if (team != null) team.finish()
       } finally if (team != null) team.stop()
     }
 
@@ -452,7 +473,6 @@ object LocalCpi {
     private[LocalCpi] def clear(): Unit = {
       if (dense) {
         Arrays.fill(x, 0.0); Arrays.fill(nx, 0.0); Arrays.fill(r, 0.0); Arrays.fill(mark, 0)
-        if (pulled) Arrays.fill(pullShare, 0.0)
       } else {
         var k = 0
         while (k < touchedLen) {

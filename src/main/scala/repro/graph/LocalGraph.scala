@@ -33,12 +33,12 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     while (i < end) { f(targets(i)); i += 1 }
   }
 
-  /** The graph's in-lists, in the order of `LocalCpi`'s pull team, one
-    * range per core, built by [[PullLayout.build]] on first use and kept.
-    * The pull team reads it directly; [[foreachIn]] and [[inDeg]] read
-    * it by node.
+  /** The graph's in-lists in one order by in-degree, cut into eight chunks
+    * per core for `LocalCpi`'s pull team, built by [[PullLayout.build]] on
+    * first use and kept. The pull team reads it by position; [[foreachIn]]
+    * and [[inDeg]] read it by node.
     */
-  lazy val pullLayout: PullLayout = PullLayout.build(this, PullLayout.Ranges)
+  lazy val pullLayout: PullLayout = PullLayout.build(this, PullLayout.Chunks)
 
   /** In-degree of node `v`. */
   def inDeg(v: Int): Int = {
@@ -55,7 +55,7 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     val p = layout.position(v)
     var i = layout.inOffsets(p)
     val end = layout.inOffsets(p + 1)
-    while (i < end) { f(layout.sources(i)); i += 1 }
+    while (i < end) { f(layout.nodes(layout.sources(i))); i += 1 }
   }
 
   /** `n=… m=… edge_hash=…`, where the edge hash Σ mix64(s·n + d) over the

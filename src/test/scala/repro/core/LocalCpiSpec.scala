@@ -350,8 +350,8 @@ class LocalCpiSpec extends AnyFunSuite {
     LocalGraph.fromEdges(n, src ++ src.take(5000) :+ 0, dst ++ dst.take(5000) :+ (n - 1))
   }
   val teamGraphs = pullGraphs :+ midGraph :+ rawGraph
-  /** Three nodes and 18,000 parallel edges: fewer nodes than a team on four
-    * or more cores has ranges, so some ranges are empty.
+  /** Three nodes and 18,000 parallel edges: fewer nodes than a layout has
+    * chunks on any core count, so some chunks are empty.
     */
   val multiGraph = "multi-3" -> {
     val pairs = Seq((0, 1) -> 9000, (1, 2) -> 6000, (2, 0) -> 2000, (2, 1) -> 1000)
@@ -437,7 +437,7 @@ class LocalCpiSpec extends AnyFunSuite {
   }
 
   test("team: eps at, and one ulp above, a hop's ascending norm stops on the dense loop's hop") {
-    // The team sums its ranges' partial norms; near eps it must decide as
+    // The team sums its chunks' partial norms; near eps it must decide as
     // the dense loop's ascending sum does. A seed of both signs, whose
     // terms cancel, leaves the partials' rounding unbounded by the norm.
     val (_, random) = pullGraphs.head
@@ -483,13 +483,13 @@ class LocalCpiSpec extends AnyFunSuite {
   test("team: a range that throws is rethrown by the caller, and the scratch is all-zero after") {
     val (_, clean) = midGraph
     // The same edges with the first in-list entry of the last node, in the
-    // pull layout, pointing outside the graph: whichever thread pulls that
-    // node's range throws.
+    // pull layout, a position outside the graph: whichever thread pulls that
+    // node's chunk throws.
     val broken = new LocalGraph(clean.n, clean.offsets, clean.targets)
     val v = broken.n - 1
     assert(broken.inDeg(v) > 0)
     val layout = broken.pullLayout
-    layout.sources(layout.inOffsets(layout.nodes.indexOf(v))) = broken.n + 5
+    layout.sources(layout.inOffsets(layout.position(v))) = broken.n + 5
     val uniform = LocalCpi.uniformSeed(clean.n)
     for (_ <- 0 until 5) {
       intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, uniform, c, eps, 0, Int.MaxValue))
@@ -513,10 +513,14 @@ class LocalCpiSpec extends AnyFunSuite {
         def run(): Unit = { held.countDown(); release.await() }
       })
       assert(held.await(30, TimeUnit.SECONDS), "every pool thread should be held")
-      val run = caller.submit(new Callable[Array[Double]] {
-        def call(): Array[Double] = Tpa.preprocess(g, c, eps, t).stranger
-      })
-      assertIdentical(run.get(120, TimeUnit.SECONDS), sequential)
+      // A fresh graph over the same arrays builds its layout and starts its
+      // first team under the held pool too.
+      for (graph <- Seq(g, new LocalGraph(g.n, g.offsets, g.targets))) {
+        val run = caller.submit(new Callable[Array[Double]] {
+          def call(): Array[Double] = Tpa.preprocess(graph, c, eps, t).stranger
+        })
+        assertIdentical(run.get(120, TimeUnit.SECONDS), sequential)
+      }
     } finally {
       release.countDown()
       caller.shutdown()

@@ -97,29 +97,28 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(inList(g, 0).count(_ == 0) >= 2 && inList(g, 7).count(_ == 5) >= 2 && inList(g, 5).contains(5))
   }
 
-  // LocalCpi's pull team reads these layouts. A range is pulled by one
-  // thread, so it must own a contiguous block of nodes; its in-lists must be
-  // the flipped edges' in CSR order, so the pull sums stay bit-identical to
-  // the push scan.
+  // LocalCpi's pull team reads these layouts in positions. Its threads claim
+  // chunks, so the order must not depend on the cut; each in-list must be the
+  // flipped edges' in CSR order, so the pull sums stay bit-identical to the
+  // push scan.
   for ((name, g) <- reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1))) {
-    test(s"pull layout: ranges permute contiguous node blocks by ascending in-degree, with reverse's in-lists, on $name") {
+    test(s"pull layout: one (in-degree, id) order with position in-lists and out-degrees, for any chunk count, on $name") {
       val rev = reverseViaFromEdges(g)
       val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(PullLayout.build(g, _))
+      val order = (0 until g.n).sortBy(v => (rev.outDeg(v), v))
       for (layout <- layouts) {
         val b = layout.bounds
         assert(b.head == 0 && b.last == g.n && b.sameElements(b.sorted), b.toSeq)
+        assert(layout.nodes.toSeq == order, s"${layout.chunks} chunks")
         assert(layout.inOffsets.head == 0 && layout.inOffsets.last == g.m)
-        for (k <- 0 until layout.ranges) {
-          val range = layout.nodes.slice(b(k), b(k + 1))
-          assert(range.sorted.toSeq == (b(k) until b(k + 1)), s"range $k of ${layout.ranges}")
-          val keys = range.map(v => (rev.outDeg(v), v)).toSeq
-          assert(keys == keys.sorted, s"range $k of ${layout.ranges}")
-        }
         for (p <- 0 until g.n) {
-          assert(layout.position(layout.nodes(p)) == p, s"position of ${layout.nodes(p)}")
-          val sources = layout.sources.slice(layout.inOffsets(p), layout.inOffsets(p + 1)).toSeq
-          assert(sources == outList(rev, layout.nodes(p)), s"in-list of ${layout.nodes(p)}")
+          val v = layout.nodes(p)
+          assert(layout.position(v) == p, s"position of $v")
+          val sources = layout.sources.slice(layout.inOffsets(p), layout.inOffsets(p + 1)).map(layout.nodes(_))
+          assert(sources.toSeq == outList(rev, v), s"in-list of $v")
+          assert(layout.outDeg(p) == g.outDeg(v), s"out-degree of $v")
         }
+        assert(layout.sources.sameElements(g.pullLayout.sources) && layout.inOffsets.sameElements(g.pullLayout.inOffsets))
       }
     }
   }

@@ -1,10 +1,8 @@
 package repro.core
 
 import java.util.Arrays
-import java.util.concurrent.ForkJoinPool
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
-import repro.graph.LocalGraph
+import repro.graph.{LocalGraph, PullLayout, Team}
 
 /** Cumulative Power Iteration (Algorithm 1, CPI-IMPL) on a driver-side
   * CSR graph.
@@ -20,11 +18,12 @@ import repro.graph.LocalGraph
   * sparse frontier that switches to dense hops over all n nodes once the
   * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
   * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
-  * [[TeamMinEdges]] edges hands its dense hops to a [[PullTeam]]: the
+  * [[Team.MinEdges]] edges hands its dense hops to a [[PullTeam]]: the
   * calling thread and common-pool helpers pull over the graph's in-lists,
   * laid out in one degree order and cut into chunks
-  * ([[LocalGraph.pullLayout]]), on every core. A run costs the edges it
-  * touches, and its dense arrays are reused per thread.
+  * ([[LocalGraph.pullLayout]]), on every core. The helpers are sent first,
+  * and build the layout with the caller if the graph has none yet. A run
+  * costs the edges it touches, and its dense arrays are reused per thread.
   */
 object LocalCpi {
 
@@ -34,12 +33,6 @@ object LocalCpi {
     * scanning n slots.
     */
   private val DenseFraction = 1.0 / 16
-
-  /** A graph needs more edges than this for a run to start a team. Below
-    * it the team's start and its per-hop claims cost more than the push
-    * scan they would split (DESIGN.md §2).
-    */
-  private val TeamMinEdges = 1 << 14
 
   /** Unit seed vector e_s (RWR from seed `s`). */
   def unitSeed(n: Int, s: Int): Array[Double] = {
@@ -96,16 +89,11 @@ object LocalCpi {
 
   private val scratch = new ThreadLocal[Scratch]
 
-  /** The common-pool helpers of a pull team: one per further core. */
-  private val Helpers = Runtime.getRuntime.availableProcessors - 1
-
   /** The dense hops of one run, pulled over the graph's
-    * [[LocalGraph.pullLayout]] by the calling thread and [[Helpers]]
-    * common-pool helpers, which stay until [[stop]]; on one core, by the
-    * caller alone. A hop's chunks are claimed from one atomic counter,
-    * hubs first (highest positions first), so the caller can pull every
-    * chunk alone: it waits only for chunks a running helper claimed, never
-    * for a helper the pool has not started.
+    * [[LocalGraph.pullLayout]] by a [[Team]]: the calling thread and, on
+    * more than one core, common-pool helpers. A hop is one phase of the
+    * team, whose units are the layout's chunks, claimed hubs first
+    * (highest positions first).
     *
     * The team works in layout positions: `share(p)` holds the share
     * x(v)·(1−c)/outdeg(v) of x^(i-1) of node v = nodes(p) (0 for a dangling
@@ -116,12 +104,13 @@ object LocalCpi {
     * expressions and order, so the run is bit-identical to it
     * (DESIGN.md §2). Each chunk also sums its x^(i) as a partial norm; the
     * caller re-sums ‖x^(i)‖₁ in ascending id order only where rounding
-    * could flip `norm < eps`. [[finish]] writes r back by node.
+    * could flip `norm < eps`. [[start]] and [[finish]], which move x and r
+    * between node and position order, are phases of the team by chunk too.
     */
-  private final class PullTeam(g: LocalGraph, c: Double, eps: Double, x: Array[Double],
-                               private var share: Array[Double], nx: Array[Double],
-                               rPos: Array[Double], r: Array[Double]) {
-    private val layout = g.pullLayout
+  private final class PullTeam(layout: PullLayout, team: Team, c: Double, eps: Double,
+                               x: Array[Double], private var share: Array[Double],
+                               nx: Array[Double], rPos: Array[Double], r: Array[Double]) {
+    private val n = layout.nodes.length
     private val chunks = layout.chunks
     private var nextShare = x
     private val partials = new Array[Double](chunks)
@@ -129,61 +118,51 @@ object LocalCpi {
       * ascending order, give sums that differ by at most about
       * (n + chunks)·ulp(1) of their exact sum; this is 4 times that.
       */
-    private val slack = 4.0 * (g.n + chunks) * Math.ulp(1.0)
+    private val slack = 4.0 * (n + chunks) * Math.ulp(1.0)
     /** True when x^(i-1) had a negative entry: the partials' sum may then
       * cancel, and every hop's norm is summed in ascending order.
       */
     private var signed = false
     private var acc = false
-    /** The current hop's number in the high 32 bits, the number of its
-      * chunks claimed so far in the low 32. Hop 0 has every chunk claimed.
-      */
-    private val work = new AtomicLong(chunks)
-    private val finished = new AtomicInteger
-    @volatile private var failure: Throwable = null
-    @volatile private var stopped = false
+    private val pullChunk: Int => Unit = k => partials(k) = pull(layout.bounds(k), layout.bounds(k + 1))
 
     /** Writes the shares of x^(i-1), held by node in `x`, and r in layout
-      * order, and sends the helpers; `x` then holds the next shares.
+      * order; `x` then holds the next shares.
       */
-    def start(): Unit = {
+    def start(): Unit = team.run(chunks) { k =>
       val nodes = layout.nodes; val outDeg = layout.outDeg
-      var p = 0
-      while (p < g.n) {
+      var negative = false
+      var p = layout.bounds(k)
+      val hi = layout.bounds(k + 1)
+      while (p < hi) {
         val v = nodes(p)
         val xv = x(v)
-        if (xv < 0.0) signed = true
+        if (xv < 0.0) negative = true
         val d = outDeg(p)
         share(p) = if (d > 0) xv * (1.0 - c) / d else 0.0
         rPos(p) = r(v)
         p += 1
       }
-      var k = 0
-      while (k < Helpers) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
+      if (negative) signed = true
     }
 
-    /** A helper leaves once it sees this; one the pool starts later, at once. */
-    def stop(): Unit = stopped = true
-
-    /** Writes r back by node, once the last hop has returned. */
-    def finish(): Unit = {
-      val nodes = layout.nodes
-      var p = 0
-      while (p < g.n) { r(nodes(p)) = rPos(p); p += 1 }
+    /** Writes r back by node, once the last hop has returned. Each unit
+      * writes one run of node ids, so no two threads write one cache line
+      * of r but at the runs' ends.
+      */
+    def finish(): Unit = team.run(chunks) { k =>
+      val position = layout.position
+      var v = (n.toLong * k / chunks).toInt
+      val hi = (n.toLong * (k + 1) / chunks).toInt
+      while (v < hi) { r(v) = rPos(position(v)); v += 1 }
     }
 
     /** One hop; returns ‖x^(i)‖₁, or a sum of the same terms in another
-      * order that lies on the same side of eps. A chunk that threw is
-      * rethrown once every claimed chunk has finished, so no helper writes
-      * after the run.
+      * order that lies on the same side of eps.
       */
     def hop(acc: Boolean): Double = {
       this.acc = acc
-      finished.set(0)
-      work.set(((work.get >>> 32) + 1) << 32)
-      while (claim()) {}
-      while (finished.get < chunks) Thread.onSpinWait()
-      if (failure != null) throw failure
+      team.run(chunks)(pullChunk)
       val s = share; share = nextShare; nextShare = s
       var norm = 0.0
       var k = 0
@@ -192,28 +171,9 @@ object LocalCpi {
         val position = layout.position
         norm = 0.0
         var v = 0
-        while (v < g.n) { norm += nx(position(v)); v += 1 }
+        while (v < n) { norm += nx(position(v)); v += 1 }
       }
       norm
-    }
-
-    private def help(): Unit = while (!stopped) if (!claim()) Thread.onSpinWait()
-
-    /** Claims and pulls one chunk of the current hop, the highest unclaimed
-      * one, or retries a lost claim; false once the hop has no unclaimed
-      * chunk.
-      */
-    private def claim(): Boolean = {
-      val w = work.get
-      val claimed = w.toInt
-      if (claimed >= chunks) return false
-      if (work.compareAndSet(w, w + 1)) {
-        val k = chunks - 1 - claimed
-        try partials(k) = pull(layout.bounds(k), layout.bounds(k + 1))
-        catch { case e: Throwable => failure = e }
-        finished.incrementAndGet()
-      }
-      true
     }
 
     /** Pulls layout positions [lo, hi); returns the sum of their x^(i). */
@@ -318,8 +278,9 @@ object LocalCpi {
         if (sIter <= 0) r(u) += x(u)
         k += 1
       }
-      val mayPull = tIter == Int.MaxValue && g.m > TeamMinEdges
-      var team: PullTeam = null
+      val mayPull = tIter == Int.MaxValue && g.m > Team.MinEdges
+      var team: Team = null
+      var puller: PullTeam = null
       try {
         var iter = 1
         var done = tIter == 0
@@ -328,19 +289,20 @@ object LocalCpi {
           if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
           if (mayPull && team == null && dense) {
             pulled = true
-            team = new PullTeam(g, c, eps, x, pullShare, nx, pullR, r)
-            team.start()
+            team = Team(g)
+            puller = new PullTeam(g.pullLayout(team), team, c, eps, x, pullShare, nx, pullR, r)
+            puller.start()
           }
           val acc = iter >= sIter && iter <= tIter
           val last = iter >= tIter
           val norm =
-            if (team != null) team.hop(acc)
+            if (puller != null) puller.hop(acc)
             else if (!dense) sparseHop(g, c, iter + 1, acc, last)
             else denseHop(g, c, acc, last, ascending)
           done = last || norm < eps
           iter += 1
         }
-        if (team != null) team.finish()
+        if (puller != null) puller.finish()
       } finally if (team != null) team.stop()
     }
 

@@ -33,12 +33,31 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     while (i < end) { f(targets(i)); i += 1 }
   }
 
+  @volatile private var layout: PullLayout = null
+
   /** The graph's in-lists in one order by in-degree, cut into eight chunks
     * per core for `LocalCpi`'s pull team, built by [[PullLayout.build]] on
     * first use and kept. The pull team reads it by position; [[foreachIn]]
-    * and [[inDeg]] read it by node.
+    * and [[inDeg]] read it by node. A first use here builds it with a team
+    * of its own ([[Team]]).
     */
-  lazy val pullLayout: PullLayout = PullLayout.build(this, PullLayout.Chunks)
+  def pullLayout: PullLayout = {
+    val built = layout
+    if (built != null) built
+    else {
+      val team = Team(this)
+      try pullLayout(team) finally team.stop()
+    }
+  }
+
+  /** [[pullLayout]], built by `team` if it is not built yet: a converging
+    * `LocalCpi` run builds it with the team that then pulls its hops. A
+    * build that throws leaves nothing behind, and the next use builds anew.
+    */
+  private[repro] def pullLayout(team: Team): PullLayout = synchronized {
+    if (layout == null) layout = PullLayout.build(this, team)
+    layout
+  }
 
   /** In-degree of node `v`. */
   def inDeg(v: Int): Int = {

@@ -22,7 +22,8 @@ package repro.graph
   * claim chunks one at a time.
   *
   * It holds (4n + 1 + m) ints plus the bounds, and is the graph's only
-  * in-list structure.
+  * in-list structure. [[PullLayout.build]] makes it with a [[Team]]: on a
+  * converging run's first dense hop, the team that then pulls the hops.
   */
 final class PullLayout private (val bounds: Array[Int], val nodes: Array[Int],
                                 val position: Array[Int], val inOffsets: Array[Int],
@@ -40,24 +41,67 @@ object PullLayout {
     */
   private[graph] val Chunks: Int = 8 * Runtime.getRuntime.availableProcessors
 
+  /** A build by a team with helpers splits its two passes over the edges
+    * into one source block per core.
+    */
+  private val Blocks = Runtime.getRuntime.availableProcessors
+
   /** A node costs a chunk about as much as this many in-edges: its writes
     * and the entry and exit of its in-list loop (DESIGN.md §2).
     */
-  private val NodeCost = 8L
+  private[graph] val NodeCost = 8L
 
-  /** The layout of `g` in `chunks` chunks, in O(n + m + max in-degree): a
-    * counting sort of the nodes by in-degree and one of the edges by target,
-    * straight from the CSR.
+  /** The layout of `g` in [[Chunks]] chunks, built by `team`: in one
+    * source block per core when the team has helpers, by the caller alone
+    * in one block otherwise.
     */
-  def build(g: LocalGraph, chunks: Int): PullLayout = {
+  private[graph] def build(g: LocalGraph, team: Team): PullLayout =
+    build(g, Chunks, if (team.hasHelpers) Blocks else 1, team)
+
+  /** The layout of `g` in `chunks` chunks, in O(blocks·n + m + max
+    * in-degree): a counting sort of the nodes by in-degree and one of the
+    * edges by target, straight from the CSR. The sources are cut into
+    * `blocks` runs of about m/blocks edges, ascending in id. The team counts
+    * each block's in-edges per target into an array of the block's own;
+    * a prefix over the blocks gives each (block, target) pair the first
+    * slot of its edges in the target's in-list, and the team scatters each
+    * block's edges from there. Each in-list thus lists block 0's sources
+    * first, then block 1's, each block's in CSR order: ascending source id,
+    * whatever the block count.
+    */
+  private[graph] def build(g: LocalGraph, chunks: Int, blocks: Int, team: Team): PullLayout = {
     require(chunks >= 1, s"a pull layout needs a chunk, got $chunks")
-    val n = g.n; val offsets = g.offsets; val targets = g.targets
+    require(blocks >= 1, s"a pull layout build needs a block, got $blocks")
+    val n = g.n; val m = g.m; val offsets = g.offsets; val targets = g.targets
+    // Block b holds the sources first(b) until first(b+1): the first source
+    // whose edges start at or after b·m/blocks.
+    val first = new Array[Int](blocks + 1)
+    var b = 1
+    while (b < blocks) { first(b) = firstAtOrAfter(offsets, (m.toLong * b / blocks).toInt); b += 1 }
+    first(blocks) = n
+
+    // counts(b)(t) counts block b's edges into t, then becomes the number
+    // of t's in-edges from the blocks before b, then block b's cursor into
+    // t's in-list.
+    val counts = new Array[Array[Int]](blocks)
+    team.run(blocks) { b =>
+      val count = new Array[Int](n)
+      var j = offsets(first(b))
+      val end = offsets(first(b + 1))
+      while (j < end) { count(targets(j)) += 1; j += 1 }
+      counts(b) = count
+    }
     val inDeg = new Array[Int](n)
-    var j = 0
-    while (j < targets.length) { inDeg(targets(j)) += 1; j += 1 }
     var maxDeg = 0
     var v = 0
-    while (v < n) { if (inDeg(v) > maxDeg) maxDeg = inDeg(v); v += 1 }
+    while (v < n) {
+      var sum = 0
+      b = 0
+      while (b < blocks) { val count = counts(b); val k = count(v); count(v) = sum; sum += k; b += 1 }
+      inDeg(v) = sum
+      if (sum > maxDeg) maxDeg = sum
+      v += 1
+    }
 
     // The nodes by ascending in-degree, stably.
     val slot = new Array[Int](maxDeg + 1)
@@ -71,8 +115,8 @@ object PullLayout {
     while (v < n) { nodes(slot(inDeg(v))) = v; slot(inDeg(v)) += 1; v += 1 }
 
     // The in-lists in that order: a counting sort of the edges by target,
-    // visited in CSR order, so each in-list's sources come out ascending.
-    // `inDeg` becomes each node's fill cursor.
+    // each block's edges in CSR order from its own cursors. `inDeg`
+    // becomes each node's first in-list slot.
     val position = new Array[Int](n)
     val inOffsets = new Array[Int](n + 1)
     val outDeg = new Array[Int](n)
@@ -85,19 +129,25 @@ object PullLayout {
       inDeg(w) = inOffsets(p)
       p += 1
     }
-    val sources = new Array[Int](targets.length)
-    var u = 0
-    while (u < n) {
-      val pu = position(u)
-      j = offsets(u)
-      val end = offsets(u + 1)
-      while (j < end) { val t = targets(j); sources(inDeg(t)) = pu; inDeg(t) += 1; j += 1 }
-      u += 1
+    val sources = new Array[Int](m)
+    team.run(blocks) { b =>
+      val cursor = counts(b)
+      var t = 0
+      while (t < n) { cursor(t) += inDeg(t); t += 1 }
+      var u = first(b)
+      val last = first(b + 1)
+      while (u < last) {
+        val pu = position(u)
+        var j = offsets(u)
+        val end = offsets(u + 1)
+        while (j < end) { val t = targets(j); sources(cursor(t)) = pu; cursor(t) += 1; j += 1 }
+        u += 1
+      }
     }
 
     // Chunk k starts at the first position whose cost prefix reaches k/chunks of the total.
     val bounds = new Array[Int](chunks + 1)
-    val total = NodeCost * n + targets.length
+    val total = NodeCost * n + m
     p = 0
     var k = 1
     while (k < chunks) {
@@ -108,5 +158,16 @@ object PullLayout {
     }
     bounds(chunks) = n
     new PullLayout(bounds, nodes, position, inOffsets, sources, outDeg)
+  }
+
+  /** The first node u with offsets(u) ≥ edge, by bisection. */
+  private def firstAtOrAfter(offsets: Array[Int], edge: Int): Int = {
+    var lo = 0
+    var hi = offsets.length - 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (offsets(mid) < edge) lo = mid + 1 else hi = mid
+    }
+    lo
   }
 }

@@ -500,6 +500,29 @@ class LocalCpiSpec extends AnyFunSuite {
     }
   }
 
+  test("team: a layout block that throws is rethrown, and no half-built layout is kept") {
+    val (_, clean) = midGraph
+    // The same edges, one of them into a node outside the graph: whichever
+    // thread counts that edge's block throws.
+    val targets = clean.targets.clone()
+    val broken = new LocalGraph(clean.n, clean.offsets, targets)
+    val j = targets.length / 2
+    targets(j) = clean.n + 5
+    val uniform = LocalCpi.uniformSeed(clean.n)
+    for (_ <- 0 until 5) {
+      intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, uniform, c, eps, 0, Int.MaxValue))
+      assert(poolQuiet())
+      intercept[ArrayIndexOutOfBoundsException](broken.inDeg(0))
+      assert(poolQuiet())
+    }
+    // Mended, the same graph builds its layout anew.
+    targets(j) = clean.targets(j)
+    val run = kernel(broken, uniform, 0, Int.MaxValue)
+    assert(run.pulled)
+    assertIdentical(run.r, ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
+    for (v <- 0 until clean.n) assert(broken.inDeg(v) == clean.inDeg(v), s"in-degree of $v")
+  }
+
   test("team: Tpa.preprocess returns while every common-pool thread is held") {
     val (_, g) = pullGraphs.head
     val t = 5
@@ -521,6 +544,10 @@ class LocalCpiSpec extends AnyFunSuite {
         })
         assertIdentical(run.get(120, TimeUnit.SECONDS), sequential)
       }
+      // So does a fresh graph's layout built through inDeg.
+      val fresh = new LocalGraph(g.n, g.offsets, g.targets)
+      val inDeg = caller.submit(new Callable[Int] { def call(): Int = fresh.inDeg(g.n - 1) })
+      assert(inDeg.get(120, TimeUnit.SECONDS) == g.inDeg(g.n - 1))
     } finally {
       release.countDown()
       caller.shutdown()

@@ -97,14 +97,28 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(inList(g, 0).count(_ == 0) >= 2 && inList(g, 7).count(_ == 5) >= 2 && inList(g, 5).contains(5))
   }
 
+  /** A graph above the team's edge floor, so its own layout is built in
+    * one source block per core.
+    */
+  private val aboveFloor = "random-1000" -> TestGraphs.random(1000, 20000, 5)
+  private val layoutCases = reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1)) :+ aboveFloor
+
+  /** `PullLayout.build` in `chunks` chunks and `blocks` source blocks, by
+    * the caller and three helpers.
+    */
+  private def build(g: LocalGraph, chunks: Int, blocks: Int): PullLayout = {
+    val team = new Team(3)
+    try PullLayout.build(g, chunks, blocks, team) finally team.stop()
+  }
+
   // LocalCpi's pull team reads these layouts in positions. Its threads claim
   // chunks, so the order must not depend on the cut; each in-list must be the
   // flipped edges' in CSR order, so the pull sums stay bit-identical to the
   // push scan.
-  for ((name, g) <- reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1))) {
+  for ((name, g) <- layoutCases) {
     test(s"pull layout: one (in-degree, id) order with position in-lists and out-degrees, for any chunk count, on $name") {
       val rev = reverseViaFromEdges(g)
-      val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(PullLayout.build(g, _))
+      val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(build(g, _, 1))
       val order = (0 until g.n).sortBy(v => (rev.outDeg(v), v))
       for (layout <- layouts) {
         val b = layout.bounds
@@ -120,6 +134,46 @@ class LocalGraphSpec extends AnyFunSuite {
         }
         assert(layout.sources.sameElements(g.pullLayout.sources) && layout.inOffsets.sameElements(g.pullLayout.inOffsets))
       }
+    }
+
+    // The build splits its passes over the edges into source blocks, one
+    // per core; its arrays must not depend on that split.
+    test(s"pull layout: all six arrays equal the flipped edges' for 1, 2, 3, 8 and n + 3 source blocks on $name") {
+      val rev = reverseViaFromEdges(g)
+      val nodes = (0 until g.n).sortBy(v => (rev.outDeg(v), v)).toArray
+      val position = new Array[Int](g.n)
+      for (p <- 0 until g.n) position(nodes(p)) = p
+      val inOffsets = nodes.scanLeft(0)(_ + rev.outDeg(_))
+      val sources = nodes.flatMap(outList(rev, _).map(position))
+      val outDeg = nodes.map(g.outDeg)
+      val chunks = PullLayout.Chunks
+      val total = PullLayout.NodeCost * g.n + g.m
+      val bounds = (0 to chunks).map { k =>
+        (0 to g.n).find(p => PullLayout.NodeCost * p + inOffsets(p) >= total * k / chunks).get
+      }
+      for (layout <- g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(build(g, chunks, _))) {
+        assert(layout.bounds.toSeq == bounds)
+        assert(layout.nodes.sameElements(nodes) && layout.position.sameElements(position))
+        assert(layout.inOffsets.sameElements(inOffsets) && layout.sources.sameElements(sources))
+        assert(layout.outDeg.sameElements(outDeg))
+      }
+    }
+  }
+
+  test("a layout first built through inDeg and foreachIn equals one first built by a converging run") {
+    val (_, g) = aboveFloor
+    assert(g.m > Team.MinEdges)
+    def fresh = new LocalGraph(g.n, g.offsets, g.targets)
+    val byNode = Seq[LocalGraph => Unit](_.inDeg(3), _.foreachIn(3)(_ => ())).map { first =>
+      val h = fresh; first(h); h.pullLayout
+    }
+    val h = fresh
+    repro.core.LocalCpi.rwr(h, 3, 0.15)
+    for (layout <- byNode) {
+      val built = h.pullLayout
+      assert(layout.bounds.sameElements(built.bounds) && layout.nodes.sameElements(built.nodes))
+      assert(layout.position.sameElements(built.position) && layout.inOffsets.sameElements(built.inOffsets))
+      assert(layout.sources.sameElements(built.sources) && layout.outDeg.sameElements(built.outDeg))
     }
   }
 

@@ -20,13 +20,23 @@ that both logs ran. The file records:
   * the runs and failed operations on each side.
 
 The written file is printed too.
+
+    python3 tools/bench_file.py --selfcheck
+
+checks the tool and the committed files without running the benchmark:
+each pair's fingerprint in every BENCH_*.json at the repository root
+against the one recomputed from `Inputs.rmat`'s hashing, and the median,
+Q1-Q3 and pairs-won arithmetic on a small synthetic pair of logs. It exits
+non-zero on the first mismatch.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
 import subprocess
+import tempfile
 
 import numpy as np
 
@@ -94,23 +104,11 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main():
-    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--workload", required=True, choices=sorted(ANALOGS))
-    p.add_argument("--parent", required=True, help="spread.py log of the parent commit")
-    p.add_argument("--change", required=True, help="spread.py log of the change")
-    p.add_argument("--parent-rev")
-    p.add_argument("--change-rev")
-    p.add_argument("--out", help="default: BENCH_<workload>.json at the repository root")
-    a = p.parse_args()
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
-    parent, change = read_log(a.parent), read_log(a.change)
-    seeds = sorted(set(parent) & set(change))
-    if not seeds:
-        raise SystemExit("the two logs have no seed in common")
+def compare(end_to_end, parent, change, seeds):
+    """Per metric of `end_to_end` (BENCHMARK.json's list): each side's
+    median and Q1-Q3 over `seeds`, the relative change and the pairs won."""
     metrics = {}
-    for m in spec["end_to_end"]:
+    for m in end_to_end:
         name, lower = m["name"], m["better"] == "lower"
         before = [parent[s]["metrics"][name]["value"] for s in seeds]
         after = [change[s]["metrics"][name]["value"] for s in seeds]
@@ -119,6 +117,83 @@ def main():
         metrics[name] = {"unit": m["unit"], "better": m["better"], "parent": base, "change": new,
                          "change_vs_parent": new["median"] / base["median"] - 1 if base["median"] else None,
                          "change_better_in": f"{wins} of {len(seeds)}"}
+    return metrics
+
+
+def selfcheck():
+    """Checks the committed BENCH files' fingerprints and this tool's
+    arithmetic; raises SystemExit on a mismatch."""
+    files = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    if not files:
+        raise SystemExit("selfcheck: no BENCH_*.json at the repository root")
+    for path in files:
+        with open(path) as f:
+            bench = json.load(f)
+        for pair in bench["pairs"]:
+            got = fingerprint(bench["workload"], pair["seed"])
+            if got != pair["input"]:
+                raise SystemExit(f"selfcheck: {os.path.basename(path)} seed {pair['seed']}: "
+                                 f"file says {pair['input']}, Inputs.rmat gives {got}")
+        print(f"selfcheck: {os.path.basename(path)}: {len(bench['pairs'])} fingerprints match")
+
+    # Seed 6 runs on one side only, and the change's first run of seed 3
+    # is superseded by its second: neither may count.
+    spec = [{"name": "time", "unit": "s", "better": "lower"},
+            {"name": "rate", "unit": "1/s", "better": "higher"}]
+    parent = {1: (10, 100), 2: (20, 200), 3: (30, 300), 4: (40, 400), 5: (50, 500), 6: (1, 1)}
+    change = [(1, (9, 150)), (2, (21, 150)), (3, (1000, 0)), (3, (25, 350)), (4, (35, 450)), (5, (45, 450))]
+    expected = {
+        "time": {"parent": {"median": 30, "q1": 15, "q3": 45}, "change": {"median": 25, "q1": 15, "q3": 40},
+                 "change_vs_parent": 25 / 30 - 1, "change_better_in": "4 of 5"},
+        "rate": {"parent": {"median": 300, "q1": 150, "q3": 450}, "change": {"median": 350, "q1": 150, "q3": 450},
+                 "change_vs_parent": 350 / 300 - 1, "change_better_in": "3 of 5"},
+    }
+
+    def line(seed, values):
+        return json.dumps({"seed": seed, "result": {"metrics": {
+            m["name"]: {"value": v, "unit": m["unit"]} for m, v in zip(spec, values)}}})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        logs = {}
+        for side, entries in (("parent", list(parent.items())), ("change", change)):
+            logs[side] = os.path.join(tmp, f"{side}.jsonl")
+            with open(logs[side], "w") as f:
+                f.write("".join(line(s, v) + "\n" for s, v in entries))
+        before, after = read_log(logs["parent"]), read_log(logs["change"])
+    seeds = sorted(set(before) & set(after))
+    got = compare(spec, before, after, seeds)
+    for name, want in expected.items():
+        for key, value in want.items():
+            have = got[name][key]
+            same = (have == value if isinstance(value, str) else
+                    abs(have - value) < 1e-12 if not isinstance(value, dict) else
+                    all(abs(have[k] - v) < 1e-12 for k, v in value.items()))
+            if not same:
+                raise SystemExit(f"selfcheck: synthetic {name} {key}: got {have}, expected {value}")
+    print(f"selfcheck: synthetic logs: median, Q1-Q3, relative change and pairs won match over {len(seeds)} pairs")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--selfcheck", action="store_true", help="check the committed BENCH files and this tool")
+    p.add_argument("--workload", choices=sorted(ANALOGS))
+    p.add_argument("--parent", help="spread.py log of the parent commit")
+    p.add_argument("--change", help="spread.py log of the change")
+    p.add_argument("--parent-rev")
+    p.add_argument("--change-rev")
+    p.add_argument("--out", help="default: BENCH_<workload>.json at the repository root")
+    a = p.parse_args()
+    if a.selfcheck:
+        selfcheck()
+        return
+    if not (a.workload and a.parent and a.change):
+        p.error("--workload, --parent and --change are required")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    parent, change = read_log(a.parent), read_log(a.change)
+    seeds = sorted(set(parent) & set(change))
+    if not seeds:
+        raise SystemExit("the two logs have no seed in common")
     bench = {
         "workload": a.workload,
         "parent_rev": a.parent_rev or revision(a.parent),
@@ -128,7 +203,7 @@ def main():
         "runs": {side: {"attempted": sum(log[s]["attempted"] for s in seeds),
                         "failed": sum(log[s]["failed"] for s in seeds)}
                  for side, log in (("parent", parent), ("change", change))},
-        "metrics": metrics,
+        "metrics": compare(spec["end_to_end"], parent, change, seeds),
     }
     out = a.out or os.path.join(ROOT, f"BENCH_{a.workload}.json")
     with open(out, "w") as f:

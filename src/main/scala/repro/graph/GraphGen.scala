@@ -3,9 +3,6 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import scala.collection.mutable
-import scala.util.Random
-
 /** Synthetic graph generators, on the driver, plus the two bridges to
   * Spark: a graph's (`src`, `dst`) edge DataFrame and its row-normalized
   * weights.
@@ -14,10 +11,10 @@ import scala.util.Random
   * social/hyperlink graphs: power-law degrees plus hierarchical block
   * (community-like) structure — the property TPA's neighbor approximation
   * exploits. Erdős–Rényi is the "random graph with the same number of
-  * nodes and edges" of the paper's Figure 6. Both draw edge e from the
-  * SplitMix64 hash of (seed, e), so a graph is a pure function of its
-  * arguments: the same on every machine and core count. The SBM
-  * ([[communities]]) gives explicit planted communities.
+  * nodes and edges" of the paper's Figure 6. The SBM ([[communities]])
+  * gives explicit planted communities (Figure 8). All three draw edge e
+  * from the SplitMix64 hash of (seed, e), so a graph is a pure function of
+  * its arguments: the same on every machine and core count.
   */
 object GraphGen {
 
@@ -61,6 +58,24 @@ object GraphGen {
     */
   def erdosRenyi(n: Int, mTarget: Long, seed: Long): LocalGraph =
     fromDraws(n, mTarget, seed)(h => ((unit(mix64(h)) * n).toLong, (unit(mix64(h + 1)) * n).toLong))
+
+  /** Stochastic block model over `n` nodes in `k` equal blocks of n/k
+    * consecutive ids, from `mTarget` draws, patched as in [[fromDraws]]:
+    * draw h takes its source from mix64(h) and its target from
+    * mix64(h + 2), inside the source's block when mix64(h + 1) falls below
+    * `pIn` and over all n otherwise.
+    */
+  def communities(n: Int, k: Int, mTarget: Int, pIn: Double, seed: Long): LocalGraph = {
+    require(n >= 1, s"an SBM needs a node, got n=$n")
+    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
+    require(pIn >= 0 && pIn <= 1, s"pIn=$pIn is not a probability")
+    val bs = n / k
+    fromDraws(n, mTarget, seed) { h =>
+      val s = (unit(mix64(h)) * n).toLong
+      val t = unit(mix64(h + 2))
+      (s, if (unit(mix64(h + 1)) < pIn) s / bs * bs + (t * bs).toLong else (t * n).toLong)
+    }
+  }
 
   /** CSR over `n` nodes of the edges `draw(mix64(mix64(seed) ^ mix64(e)))`
     * for e in [0, `mTarget`): self-loops dropped, duplicates removed by
@@ -145,46 +160,5 @@ object GraphGen {
     val deg = edges.groupBy("src").agg(count(lit(1)).as("outdeg"))
     edges.join(deg, Seq("src"))
       .select(col("src"), col("dst"), (lit(1.0) / col("outdeg")).as("w"))
-  }
-
-  // ---- stochastic block model (scala.util.Random) ----
-
-  /** Driver-side stochastic block model: `k` equal blocks; each of `m`
-    * draws stays inside the source's block with probability `pIn`.
-    * Dangling nodes are patched as in [[localPatched]].
-    */
-  def communities(n: Int, k: Int, m: Int, pIn: Double, seed: Long): LocalGraph = {
-    require(k >= 1 && n % k == 0, s"k=$k must divide n=$n")
-    val bs = n / k
-    val pairs = distinctDraws(m, seed) { rng =>
-      val u = rng.nextInt(n)
-      (u, if (rng.nextDouble() < pIn) (u / bs) * bs + rng.nextInt(bs) else rng.nextInt(n))
-    }
-    localPatched(n, pairs, n)
-  }
-
-  /** Up to `m` distinct edges from `draw`, self-loops dropped, in first-draw
-    * order; gives up after 10·m draws.
-    */
-  private[repro] def distinctDraws(m: Int, seed: Long)(draw: Random => (Int, Int)): Seq[(Int, Int)] = {
-    val rng = new Random(seed)
-    val set = mutable.LinkedHashSet.empty[(Int, Int)]
-    var tries = 0
-    while (set.size < m && tries < m * 10) {
-      val (u, v) = draw(rng)
-      if (u != v) set += ((u, v))
-      tries += 1
-    }
-    set.toSeq
-  }
-
-  /** CSR over `n` nodes of `pairs` plus, for every node u < `patchBelow`
-    * without an out-edge, the edge u → (u+1) mod `patchBelow`.
-    */
-  private[repro] def localPatched(n: Int, pairs: Seq[(Int, Int)], patchBelow: Int): LocalGraph = {
-    val has = new Array[Boolean](patchBelow)
-    pairs.foreach(p => has(p._1) = true)
-    val all = pairs ++ (0 until patchBelow).collect { case u if !has(u) => (u, (u + 1) % patchBelow) }
-    LocalGraph.fromEdges(n, all.map(_._1).toArray, all.map(_._2).toArray)
   }
 }

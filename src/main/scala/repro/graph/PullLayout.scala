@@ -41,22 +41,16 @@ object PullLayout {
     */
   private[graph] val Chunks: Int = 8 * Runtime.getRuntime.availableProcessors
 
-  /** A build by a team with helpers splits its two passes over the edges
-    * into one source block per core.
-    */
-  private val Blocks = Runtime.getRuntime.availableProcessors
-
   /** A node costs a chunk about as much as this many in-edges: its writes
     * and the entry and exit of its in-list loop (DESIGN.md §2).
     */
   private[graph] val NodeCost = 8L
 
-  /** The layout of `g` in [[Chunks]] chunks, built by `team`: in one
-    * source block per core when the team has helpers, by the caller alone
-    * in one block otherwise.
+  /** The layout of `g` in [[Chunks]] chunks, built by `team` in one source
+    * block per thread of the team.
     */
   private[graph] def build(g: LocalGraph, team: Team): PullLayout =
-    build(g, Chunks, if (team.hasHelpers) Blocks else 1, team)
+    build(g, Chunks, team.threads, team)
 
   /** The layout of `g` in `chunks` chunks, in O(blocks·n + m + max
     * in-degree): a counting sort of the nodes by in-degree and one of the

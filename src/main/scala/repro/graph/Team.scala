@@ -27,10 +27,8 @@ private[repro] final class Team(helpers: Int) {
     while (k < helpers) { ForkJoinPool.commonPool().execute(() => help()); k += 1 }
   }
 
-  /** True when the team has a helper: a graph above [[Team.MinEdges]] on
-    * more than one core.
-    */
-  def hasHelpers: Boolean = helpers > 0
+  /** The threads that run a phase: the caller and its helpers. */
+  val threads: Int = helpers + 1
 
   /** Runs `body(k)` for every k in [0, units), the highest k first, and
     * returns once each has finished. A unit that threw is rethrown once

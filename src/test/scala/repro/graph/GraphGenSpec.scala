@@ -38,23 +38,29 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("rmat is deterministic in its seed") {
-    val again = GraphGen.rmat(8, 1500, 7)
-    assert(java.util.Arrays.equals(again.offsets, rmatG.offsets) &&
-           java.util.Arrays.equals(again.targets, rmatG.targets))
+    for ((g, again) <- Seq(rmatG -> GraphGen.rmat(8, 1500, 7),
+                           sbmG -> GraphGen.communities(256, 8, 1500, 0.9, 7)))
+      assert(java.util.Arrays.equals(again.offsets, g.offsets) &&
+             java.util.Arrays.equals(again.targets, g.targets))
+  }
+
+  test("communities rejects n < 1 and pIn outside [0, 1]") {
+    for ((n, k, pIn) <- Seq((0, 1, 0.9), (-4, 2, 0.9), (8, 2, -0.1), (8, 2, 1.5), (8, 2, Double.NaN)))
+      intercept[IllegalArgumentException](GraphGen.communities(n, k, 10, pIn, 1))
   }
 
   test("different seeds give different graphs") {
     assert(edges(rmatG).diff(edges(GraphGen.rmat(8, 1500, 8))).nonEmpty)
   }
 
-  // n, m and java.util.Arrays.hashCode of offsets and targets, recorded
-  // from the test-only builders these driver-side generators replaced:
-  // the same draw order gives the same graph, edge for edge.
+  // n, m and java.util.Arrays.hashCode of offsets and targets. The two
+  // `communities` entries pin the SBM's SplitMix64 draws; the TestGraphs
+  // entries pin its `scala.util.Random` builders, edge for edge.
   for ((name, g, fp) <- Seq(
       ("communities(4096, 32, 40000, 0.95, 77)",
-       () => GraphGen.communities(4096, 32, 40000, 0.95, 77), (4096, 40000, -1648983318, -1798612947)),
+       () => GraphGen.communities(4096, 32, 40000, 0.95, 77), (4096, 38329, -283545713, 1827306690)),
       ("communities(240, 6, 1400, 0.85, 2)",
-       () => GraphGen.communities(240, 6, 1400, 0.85, 2), (240, 1400, -812112300, 1173052443)),
+       () => GraphGen.communities(240, 6, 1400, 0.85, 2), (240, 1317, -1471203901, 1633158492)),
       ("TestGraphs.random(200, 1200, 1)",
        () => TestGraphs.random(200, 1200, 1), (200, 1201, -120664215, -1343258058)),
       ("TestGraphs.withDangling(100, 500, 3)",
@@ -74,14 +80,18 @@ class GraphGenSpec extends SparkSpec {
     }
   }
 
-  // RMAT and ER merge their dangling-node patches into the sorted, deduped
-  // keys, so every out-list is strictly ascending and reaches fromEdges sorted.
+  // RMAT, ER and the SBM merge their dangling-node patches into the sorted,
+  // deduped keys, so every out-list is strictly ascending and reaches
+  // fromEdges sorted.
   test("every analog's and random counterpart's out-lists are strictly ascending") {
-    for (spec <- Datasets.all; (kind, g) <- Seq("analog" -> spec.graph, "counterpart" -> spec.randomCounterpart)) {
+    val graphs = Datasets.all.flatMap { spec =>
+      Seq(s"${spec.name} analog" -> spec.graph, s"${spec.name} counterpart" -> spec.randomCounterpart)
+    } ++ Seq("Fig 8 SBM" -> GraphGen.communities(4096, 32, 40000, 0.95, 77), "sbm" -> sbmG)
+    for ((name, g) <- graphs) {
       val ascending = (0 until g.n).forall { u =>
         (g.offsets(u) + 1 until g.offsets(u + 1)).forall(k => g.targets(k - 1) < g.targets(k))
       }
-      assert(ascending, s"${spec.name} $kind")
+      assert(ascending, name)
     }
   }
 

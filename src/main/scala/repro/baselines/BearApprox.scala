@@ -43,6 +43,7 @@ object BearApprox {
 
   /** Preprocess with `hubFrac` of the nodes (highest total degree) as hubs. */
   def preprocess(g: LocalGraph, c: Double, hubFrac: Double, dropTol: Double): Model = {
+    LocalGraph.requireParams(c)
     val n = g.n
     val h = math.max(1, math.min(n - 1, (n * hubFrac).toInt))
     val byDeg = Array.range(0, n).sortBy(u => -(g.outDeg(u) + g.inDeg(u)))

@@ -35,10 +35,11 @@ object HubPpr {
   }
 
   /** Backward push from target `t` until every residual ≤ `rMax`. Rejects
-    * a `t` outside [0, n).
+    * a `t` outside [0, n), a c outside (0, 1) and a negative or NaN rMax.
     */
   def backwardPush(g: LocalGraph, t: Int, c: Double, rMax: Double): PushResult = {
     LocalGraph.requireSeed(g.n, t)
+    LocalGraph.requireParams(c, "rMax" -> rMax)
     val p = mutable.LongMap.empty[Double]
     val res = mutable.LongMap.empty[Double]
     res(t) = 1.0
@@ -68,6 +69,7 @@ object HubPpr {
 
   /** Preprocess: backward pushes for the `numHubs` highest in-degree nodes. */
   def preprocess(g: LocalGraph, c: Double, rMax: Double, numHubs: Int): Model = {
+    LocalGraph.requireParams(c, "rMax" -> rMax)
     val hubs = Array.range(0, g.n).sortBy(u => -g.inDeg(u)).take(numHubs)
     Model(hubs.map(t => t -> backwardPush(g, t, c, rMax)).toMap, c, rMax)
   }
@@ -77,6 +79,9 @@ object HubPpr {
     */
   def sampleEndpoints(g: LocalGraph, s: Int, c: Double, walks: Int,
                       rng: scala.util.Random): mutable.LongMap[Int] = {
+    LocalGraph.requireSeed(g.n, s)
+    LocalGraph.requireParams(c)
+    require(walks >= 0, s"walks must be >= 0, got $walks")
     val counts = mutable.LongMap.empty[Int]
     var w = 0
     while (w < walks) {

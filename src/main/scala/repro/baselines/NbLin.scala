@@ -48,6 +48,7 @@ object NbLin {
 
   /** Preprocess: rank-k SVD of W plus Λ. */
   def preprocess(g: LocalGraph, c: Double, rank: Int): Model = {
+    LocalGraph.requireParams(c)
     val w = denseW(g)
     val svd.SVD(uFull, sVec, vtFull) = svd(w)
     val kEff = math.min(rank, sVec.toArray.count(_ > SigmaTol))

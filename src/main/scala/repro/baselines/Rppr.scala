@@ -24,6 +24,7 @@ object Rppr {
   /** RPPR: push every node with residual > theta until none remain. */
   def rppr(g: LocalGraph, seed: Int, c: Double, theta: Double): Array[Double] = {
     LocalGraph.requireSeed(g.n, seed)
+    LocalGraph.requireParams(c, "theta" -> theta)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inQueue = new Array[Boolean](g.n)
@@ -65,6 +66,7 @@ object Rppr {
     */
   def brppr(g: LocalGraph, seed: Int, c: Double, kappa: Double): Array[Double] = {
     LocalGraph.requireSeed(g.n, seed)
+    LocalGraph.requireParams(c, "kappa" -> kappa)
     val p = new Array[Double](g.n)
     val res = new Array[Double](g.n)
     val inPq = new Array[Boolean](g.n)

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import repro.graph.LocalGraph
 import scala.collection.mutable.ArrayBuffer
 
 /** A distributed CPI engine: it runs the window [sIter, tIter] of the CPI
@@ -34,7 +35,7 @@ object CpiEngine {
     */
   private[core] def supersteps[V](c: Double, eps: Double, sIter: Int, tIter: Int)(
       empty: => V, seed: => V, hop: V => V, norm: V => Double, sum: Seq[V] => V): V = {
-    require(c > 0 && c < 1, s"restart probability out of range: $c")
+    LocalGraph.requireParams(c)
     LocalCpi.requireStops(eps, tIter)
     if (tIter < 0) return empty
 

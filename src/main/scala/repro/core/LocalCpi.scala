@@ -14,16 +14,16 @@ import repro.graph.{LocalGraph, PullLayout, Team}
   * RWR/PageRank vector (Theorem 1) — it is the repo's ground-truth oracle
   * standing in for the paper's use of BePI.
   *
-  * Every run goes through one kernel, [[Scratch.propagate]]: an ascending
-  * sparse frontier that switches to dense hops over all n nodes once the
-  * frontier's out-edges pass [[DenseFraction]] of m. A run with no finite
-  * window end (`Tpa.preprocess`, `rwr`) on a graph of more than
-  * [[Team.MinEdges]] edges hands its dense hops to a [[PullTeam]]: the
-  * calling thread and common-pool helpers pull over the graph's in-lists,
-  * laid out in one degree order and cut into chunks
-  * ([[LocalGraph.pullLayout]]), on every core. The helpers are sent first,
-  * and build the layout with the caller if the graph has none yet. A run
-  * costs the edges it touches, and its dense arrays are reused per thread.
+  * A run takes one of two kernels, by its window. A bounded window
+  * (`Tpa.online`, `family`) runs on the calling thread's [[Scratch]]: an
+  * ascending sparse frontier that switches to dense push hops once its
+  * out-edges pass [[DenseFraction]] of m. A converging run (tIter = ∞:
+  * `Tpa.preprocess`, `rwr`) runs on a [[PullTeam]] from its first hop:
+  * the calling thread, with common-pool helpers on a graph of more than
+  * [[Team.MinEdges]] edges, pulls over the graph's in-lists, laid out in
+  * one degree order and cut into chunks ([[LocalGraph.pullLayout]]). Both
+  * keep their arrays per thread and give the plain dense loop's result
+  * bit for bit.
   */
 object LocalCpi {
 
@@ -46,7 +46,8 @@ object LocalCpi {
   /** Run CPI-IMPL.
     *
     * @param g      graph (weights are implicit: 1/outdeg(src))
-    * @param q      seed vector (must sum to 1 for the paper's norm lemmas)
+    * @param q      restart vector: finite, non-negative entries of finite
+    *               sum (it must sum to 1 for the paper's norm lemmas)
     * @param c      restart probability
     * @param eps    convergence tolerance on ‖x^(i)‖₁; must be > 0 when tIter = ∞
     * @param sIter  first accumulated iteration (inclusive)
@@ -56,7 +57,20 @@ object LocalCpi {
   def run(g: LocalGraph, q: Array[Double], c: Double, eps: Double,
           sIter: Int, tIter: Int): Array[Double] = {
     require(q.length == g.n, "seed vector length mismatch")
-    accumulate(g, c, eps, sIter, tIter)(_.startFrom(q))(_.addTo(new Array[Double](g.n), 1.0))
+    var mass = 0.0
+    var i = 0
+    while (i < q.length && q(i) >= 0.0) { mass += q(i); i += 1 }
+    require(i == q.length, s"seed vector entry $i is ${q(i)}, not >= 0")
+    require(mass < Double.PositiveInfinity, "seed vector has an infinite entry, or its mass overflows")
+    if (tIter != Int.MaxValue)
+      return accumulate(g, c, eps, sIter, tIter)(_.startFrom(q))(_.addTo(new Array[Double](g.n), 1.0))
+    LocalGraph.requireParams(c); requireStops(eps, tIter)
+    val team = Team(g) // first, so the helpers start while the caller builds the layout or starts the run
+    try {
+      var arrays = pullArrays.get
+      if (arrays == null || arrays(0).length != g.n) { arrays = Array.ofDim[Double](4, g.n); pullArrays.set(arrays) }
+      new PullTeam(g.pullLayout(team), team, c, eps, arrays).run(q, sIter)
+    } finally team.stop()
   }
 
   /** Exact RWR from seed `s` (CPI to convergence). */
@@ -70,14 +84,14 @@ object LocalCpi {
   private[core] def requireStops(eps: Double, tIter: Int): Unit =
     require(tIter != Int.MaxValue || eps > 0, s"an unbounded CPI run needs eps > 0, got $eps")
 
-  /** Runs CPI on the calling thread's scratch and lends the accumulated sum
-    * to `use`. `start` loads the seed vector q; the scratch is all-zero
-    * again when this returns or throws, so `use` must not keep it.
+  /** Runs the bounded window [sIter, tIter] on the calling thread's scratch
+    * and lends the accumulated sum to `use`. `start` loads q; the scratch is
+    * all-zero again when this returns or throws, so `use` must not keep it.
     */
   private[core] def accumulate[A](g: LocalGraph, c: Double, eps: Double, sIter: Int, tIter: Int)
       (start: Scratch => Unit)(use: Scratch => A): A = {
-    require(c > 0 && c < 1, s"restart probability out of range: $c")
-    requireStops(eps, tIter)
+    LocalGraph.requireParams(c)
+    require(tIter != Int.MaxValue, "a converging run (tIter = ∞) goes through LocalCpi.run")
     var sc = scratch.get
     if (sc == null || sc.n != g.n) { sc = new Scratch(g.n); scratch.set(sc) }
     try {
@@ -89,85 +103,84 @@ object LocalCpi {
 
   private val scratch = new ThreadLocal[Scratch]
 
-  /** The dense hops of one run, pulled over the graph's
-    * [[LocalGraph.pullLayout]] by a [[Team]]: the calling thread and, on
-    * more than one core, common-pool helpers. A hop is one phase of the
-    * team, whose units are the layout's chunks, claimed hubs first
-    * (highest positions first).
-    *
-    * The team works in layout positions: `share(p)` holds the share
-    * x(v)·(1−c)/outdeg(v) of x^(i-1) of node v = nodes(p) (0 for a dangling
-    * v), and `nx` and `rPos` hold x^(i) and r at v's position. A chunk
-    * sums, for each of its positions, the shares of the in-list (ascending
-    * source ids) into x^(i), adds it to r when the hop accumulates, and
-    * writes the node's own share into `nextShare`: the push scan's
-    * expressions and order, so the run is bit-identical to it
-    * (DESIGN.md §2). Each chunk also sums its x^(i) as a partial norm; the
-    * caller re-sums ‖x^(i)‖₁ in ascending id order only where rounding
-    * could flip `norm < eps`. [[start]] and [[finish]], which move x and r
-    * between node and position order, are phases of the team by chunk too.
+  /** A pull team's four position-order arrays, per thread. A run writes each slot before it reads it. */
+  private val pullArrays = new ThreadLocal[Array[Array[Double]]]
+
+  /** The hops of one converging run: phases of a [[Team]] whose units are
+    * the chunks of the graph's [[LocalGraph.pullLayout]], claimed hubs
+    * (highest positions) first. It works in layout positions: `share(p)`
+    * holds x(v)·(1−c)/outdeg(v) of x^(i-1) for v = nodes(p) (0 for a
+    * dangling v), `nx` and `rPos` hold x^(i) and r. A chunk sums each
+    * position's in-list shares (ascending source ids) into x^(i), adds it to
+    * r when the hop accumulates and writes the next share: the push scan's
+    * expressions and order, so the run is bit-identical to it (DESIGN.md
+    * §2). The caller adds the chunks' partial norms, and re-sums ‖x^(i)‖₁ in
+    * ascending id order only where rounding could flip `norm < eps`.
     */
   private final class PullTeam(layout: PullLayout, team: Team, c: Double, eps: Double,
-                               x: Array[Double], private var share: Array[Double],
-                               nx: Array[Double], rPos: Array[Double], r: Array[Double]) {
+                               arrays: Array[Array[Double]]) {
     private val n = layout.nodes.length
     private val chunks = layout.chunks
-    private var nextShare = x
+    private var share = arrays(0); private var nextShare = arrays(1)
+    private val nx = arrays(2); private val rPos = arrays(3)
     private val partials = new Array[Double](chunks)
     /** The same n non-negative terms, summed as the chunks do and in
       * ascending order, give sums that differ by at most about
       * (n + chunks)·ulp(1) of their exact sum; this is 4 times that.
       */
     private val slack = 4.0 * (n + chunks) * Math.ulp(1.0)
-    /** True when x^(i-1) had a negative entry: the partials' sum may then
-      * cancel, and every hop's norm is summed in ascending order.
-      */
-    private var signed = false
     private var acc = false
     private val pullChunk: Int => Unit = k => partials(k) = pull(layout.bounds(k), layout.bounds(k + 1))
 
-    /** Writes the shares of x^(i-1), held by node in `x`, and r in layout
-      * order; `x` then holds the next shares.
+    /** r = Σ_{i≥sIter} x^(i) from x^(0) = c·q, to the first hop with ‖x^(i)‖₁ < eps. */
+    def run(q: Array[Double], sIter: Int): Array[Double] = {
+      start(q, sIter <= 0)
+      var iter = 1
+      while (!(hop(iter >= sIter) < eps)) iter += 1
+      finish()
+    }
+
+    /** Writes the shares of x^(0) = c·q, and r = 0 + x^(0) if the window
+      * holds iteration 0 (else 0), in layout order: the scratch's expressions.
       */
-    def start(): Unit = team.run(chunks) { k =>
+    private def start(q: Array[Double], acc: Boolean): Unit = team.run(chunks) { k =>
       val nodes = layout.nodes; val outDeg = layout.outDeg
-      var negative = false
       var p = layout.bounds(k)
       val hi = layout.bounds(k + 1)
       while (p < hi) {
-        val v = nodes(p)
-        val xv = x(v)
-        if (xv < 0.0) negative = true
+        val xv = q(nodes(p)) * c
         val d = outDeg(p)
         share(p) = if (d > 0) xv * (1.0 - c) / d else 0.0
-        rPos(p) = r(v)
+        rPos(p) = if (acc) 0.0 + xv else 0.0
         p += 1
       }
-      if (negative) signed = true
     }
 
-    /** Writes r back by node, once the last hop has returned. Each unit
-      * writes one run of node ids, so no two threads write one cache line
-      * of r but at the runs' ends.
+    /** Returns r by node. Each unit writes one run of node ids, so no two
+      * threads write one cache line of r but at the runs' ends.
       */
-    def finish(): Unit = team.run(chunks) { k =>
-      val position = layout.position
-      var v = (n.toLong * k / chunks).toInt
-      val hi = (n.toLong * (k + 1) / chunks).toInt
-      while (v < hi) { r(v) = rPos(position(v)); v += 1 }
+    private def finish(): Array[Double] = {
+      val r = new Array[Double](n)
+      team.run(chunks) { k =>
+        val position = layout.position
+        var v = (n.toLong * k / chunks).toInt
+        val hi = (n.toLong * (k + 1) / chunks).toInt
+        while (v < hi) { r(v) = rPos(position(v)); v += 1 }
+      }
+      r
     }
 
     /** One hop; returns ‖x^(i)‖₁, or a sum of the same terms in another
       * order that lies on the same side of eps.
       */
-    def hop(acc: Boolean): Double = {
+    private def hop(acc: Boolean): Double = {
       this.acc = acc
       team.run(chunks)(pullChunk)
       val s = share; share = nextShare; nextShare = s
       var norm = 0.0
       var k = 0
       while (k < chunks) { norm += partials(k); k += 1 }
-      if (signed || !(math.abs(norm - eps) > slack * math.max(norm, eps))) {
+      if (!(math.abs(norm - eps) > slack * math.max(norm, eps))) {
         val position = layout.position
         norm = 0.0
         var v = 0
@@ -201,11 +214,9 @@ object LocalCpi {
 
   /** Dense per-thread arrays of one CPI run over n nodes.
     *
-    * Invariant: every array but a pull team's two is all-zero between runs.
-    * In sparse mode a run writes only the nodes listed in `touched`, so
-    * [[clear]] resets just those; after the switch to the dense scan it may
-    * write any node, and [[clear]] fills whole arrays. A team's start writes
-    * the whole of `pullShare` and `pullR`, so they are never reset.
+    * Invariant: every array is all-zero between runs. A sparse run writes
+    * only the nodes listed in `touched`, and [[clear]] resets just those; a
+    * dense one may write any node, and [[clear]] fills whole arrays.
     *
     * An ascending frontier adds the terms of each entry in the same order as
     * a full ascending scan, and a zero term changes no sum, so both modes
@@ -215,8 +226,6 @@ object LocalCpi {
     private var x = new Array[Double](n)    // x^(i-1); non-zero only on the frontier
     private var nx = new Array[Double](n)   // x^(i) while it is built
     private val r = new Array[Double](n)    // Σ x^(i) over the window
-    private val pullShare = new Array[Double](n) // a pull team's share array
-    private val pullR = new Array[Double](n)     // a pull team's r, in layout order
     private var front = new Array[Int](n)   // the frontier, ascending until the last hop
     private var next = new Array[Int](n)
     private var frontLen = 0
@@ -226,13 +235,9 @@ object LocalCpi {
     private val touched = new Array[Int](n) // every node listed so far, in first-touch order
     private var touchedLen = 0
     private var dense = false
-    private var pulled = false
 
     /** True once the run switched to the dense scan. */
     private[core] def isDense: Boolean = dense
-
-    /** True once the run's dense hops went to a pull team. */
-    private[core] def isPulled: Boolean = pulled
 
     /** Loads q = e_seed. */
     private[core] def startAt(seed: Int): Unit = enlistStart(seed, 1.0)
@@ -264,46 +269,24 @@ object LocalCpi {
     }
 
     /** Accumulates r = Σ_{i=sIter}^{tIter} x^(i) from x^(0) = c·q, stopping
-      * after the first iteration with ‖x^(i)‖₁ < eps. Only a run with no
-      * finite tIter may start a team, at the hop it goes dense: waking
-      * helpers for a few hops costs more than they save. The hop i = tIter
+      * after the first iteration with ‖x^(i)‖₁ < eps. The hop i = tIter
       * computes no norm: it ends the run whatever the norm is.
       */
     private[LocalCpi] def propagate(g: LocalGraph, c: Double, eps: Double,
                                     sIter: Int, tIter: Int): Unit = {
       if (tIter < 0) return
       var k = 0
-      while (k < frontLen) {
-        val u = front(k); x(u) *= c
-        if (sIter <= 0) r(u) += x(u)
-        k += 1
+      while (k < frontLen) { val u = front(k); x(u) *= c; if (sIter <= 0) r(u) += x(u); k += 1 }
+      var iter = 1
+      var norm = Double.PositiveInfinity
+      while (iter <= tIter && !(norm < eps)) {
+        val ascending = !dense // front lists every non-zero of x^(i-1), ascending
+        if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
+        val acc = iter >= sIter
+        val last = iter == tIter
+        norm = if (!dense) sparseHop(g, c, iter + 1, acc, last) else denseHop(g, c, acc, last, ascending)
+        iter += 1
       }
-      val mayPull = tIter == Int.MaxValue && g.m > Team.MinEdges
-      var team: Team = null
-      var puller: PullTeam = null
-      try {
-        var iter = 1
-        var done = tIter == 0
-        while (!done) {
-          val ascending = !dense // front lists every non-zero of x^(i-1), ascending
-          if (!dense) dense = frontOutEdges(g) > g.m * DenseFraction
-          if (mayPull && team == null && dense) {
-            pulled = true
-            team = Team(g)
-            puller = new PullTeam(g.pullLayout(team), team, c, eps, x, pullShare, nx, pullR, r)
-            puller.start()
-          }
-          val acc = iter >= sIter && iter <= tIter
-          val last = iter >= tIter
-          val norm =
-            if (puller != null) puller.hop(acc)
-            else if (!dense) sparseHop(g, c, iter + 1, acc, last)
-            else denseHop(g, c, acc, last, ascending)
-          done = last || norm < eps
-          iter += 1
-        }
-        if (puller != null) puller.finish()
-      } finally if (team != null) team.stop()
     }
 
     private def frontOutEdges(g: LocalGraph): Long = {
@@ -384,9 +367,8 @@ object LocalCpi {
       * ‖x^(i)‖₁. The first dense hop (`ascending`) walks the frontier the
       * sparse hops left, zeroing x as it goes; a later one scans all n nodes
       * and fills x after. The `last` hop returns 0 without the norm or the
-      * fill: [[clear]] zeroes the arrays. The arrays are read into locals
-      * and the norm and r loops are kept apart: with field reads in the
-      * loops, or with the two loops merged, the hop measured a few per cent
+      * fill: [[clear]] zeroes the arrays. With field reads in the loops, or
+      * with the norm and r loops merged, the hop measured a few per cent
       * slower than the plain dense loop.
       */
     private def denseHop(g: LocalGraph, c: Double, acc: Boolean, last: Boolean, ascending: Boolean): Double = {
@@ -444,7 +426,7 @@ object LocalCpi {
         }
       }
       if (listing) { Arrays.fill(listed, 0L); listing = false }
-      frontLen = 0; touchedLen = 0; dense = false; pulled = false
+      frontLen = 0; touchedLen = 0; dense = false
     }
   }
 }

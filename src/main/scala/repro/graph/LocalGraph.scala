@@ -167,4 +167,12 @@ object LocalGraph {
   /** Rejects a seed node outside [0, n). */
   private[repro] def requireSeed(n: Int, seed: Int): Unit =
     require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
+
+  /** Rejects a restart probability c outside (0, 1), and a tolerance
+    * (name -> value) that is negative; NaN fails both.
+    */
+  private[repro] def requireParams(c: Double, tolerances: (String, Double)*): Unit = {
+    require(c > 0 && c < 1, s"restart probability out of range: $c")
+    for ((name, t) <- tolerances) require(t >= 0, s"$name must be >= 0, got $t")
+  }
 }

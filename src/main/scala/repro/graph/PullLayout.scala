@@ -22,8 +22,8 @@ package repro.graph
   * claim chunks one at a time.
   *
   * It holds (4n + 1 + m) ints plus the bounds, and is the graph's only
-  * in-list structure. [[PullLayout.build]] makes it with a [[Team]]: on a
-  * converging run's first dense hop, the team that then pulls the hops.
+  * in-list structure. [[PullLayout.build]] makes it with a [[Team]]: at a
+  * converging run's start, the team that then pulls its hops.
   */
 final class PullLayout private (val bounds: Array[Int], val nodes: Array[Int],
                                 val position: Array[Int], val inOffsets: Array[Int],

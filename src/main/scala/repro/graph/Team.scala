@@ -68,9 +68,9 @@ private[repro] final class Team(helpers: Int) {
 
 private[repro] object Team {
 
-  /** A graph needs more edges than this for its work to be shared: below
-    * it a team's start and its per-phase claims cost more than the passes
-    * they would split (DESIGN.md §2).
+  /** A team gets helpers only on a graph of more edges than this: below it
+    * their start and the per-phase claims cost more than the passes they
+    * would split, and the caller alone builds and pulls (DESIGN.md §2).
     */
   val MinEdges: Int = 1 << 14
 

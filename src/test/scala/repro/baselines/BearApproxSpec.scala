@@ -70,6 +70,12 @@ class BearApproxSpec extends AnyFunSuite {
     assert(r.forall(_ >= -1e-12))
   }
 
+  for (bad <- Seq(0.0, 1.0, 1.5, -0.1, Double.NaN)) {
+    test(s"preprocess rejects c = $bad") {
+      intercept[IllegalArgumentException](BearApprox.preprocess(TestGraphs.cycle(6), bad, 0.2, 0.0))
+    }
+  }
+
   test("query rejects a seed outside [0, n)") {
     val g = TestGraphs.cycle(6)
     val model = BearApprox.preprocess(g, c, 0.2, 0.0)

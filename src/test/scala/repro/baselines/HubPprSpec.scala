@@ -89,6 +89,34 @@ class HubPprSpec extends AnyFunSuite {
     }
   }
 
+  for (bad <- Seq(0.0, 1.0, 1.5, -0.1, Double.NaN)) {
+    test(s"backwardPush rejects c = $bad") {
+      intercept[IllegalArgumentException](HubPpr.backwardPush(g, 0, bad, 1e-3))
+    }
+    test(s"preprocess rejects c = $bad") {
+      intercept[IllegalArgumentException](HubPpr.preprocess(g, bad, 1e-3, 3))
+    }
+    test(s"sampleEndpoints rejects c = $bad") {
+      intercept[IllegalArgumentException](HubPpr.sampleEndpoints(g, 0, bad, 10, new scala.util.Random(7)))
+    }
+  }
+
+  for (bad <- Seq(-1.0, Double.NaN)) {
+    test(s"backwardPush rejects rMax = $bad") {
+      intercept[IllegalArgumentException](HubPpr.backwardPush(g, 0, c, bad))
+    }
+    test(s"preprocess rejects rMax = $bad") {
+      intercept[IllegalArgumentException](HubPpr.preprocess(g, c, bad, 3))
+    }
+  }
+
+  test("sampleEndpoints rejects a negative walk count and a seed outside [0, n), and takes 0 walks") {
+    intercept[IllegalArgumentException](HubPpr.sampleEndpoints(g, 0, c, -1, new scala.util.Random(7)))
+    for (s <- Seq(-1, g.n))
+      intercept[IllegalArgumentException](HubPpr.sampleEndpoints(g, s, c, 10, new scala.util.Random(7)))
+    assert(HubPpr.sampleEndpoints(g, 0, c, 0, new scala.util.Random(7)).isEmpty)
+  }
+
   test("memoryBytes counts stored index entries") {
     val model = HubPpr.preprocess(g, c, 1e-3, numHubs = 3)
     val expected = model.index.values.map(pr => 12L * (pr.p.size + pr.res.size)).sum

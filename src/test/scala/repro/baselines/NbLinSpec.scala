@@ -50,6 +50,12 @@ class NbLinSpec extends AnyFunSuite {
     assert(NbLin.query(model, 5)(5) >= c - 1e-9)
   }
 
+  for (bad <- Seq(0.0, 1.0, 1.5, -0.1, Double.NaN)) {
+    test(s"preprocess rejects c = $bad") {
+      intercept[IllegalArgumentException](NbLin.preprocess(TestGraphs.cycle(6), bad, 6))
+    }
+  }
+
   test("query rejects a seed outside [0, n)") {
     val g = TestGraphs.cycle(6)
     val model = NbLin.preprocess(g, c, g.n)

@@ -69,6 +69,31 @@ class RpprSpec extends AnyFunSuite {
     }
   }
 
+  for (bad <- Seq(0.0, 1.0, 1.5, -0.1, Double.NaN)) {
+    test(s"RPPR rejects c = $bad") {
+      intercept[IllegalArgumentException](Rppr.rppr(graphs.head._2, 0, bad, 1e-4))
+    }
+    test(s"BRPPR rejects c = $bad") {
+      intercept[IllegalArgumentException](Rppr.brppr(graphs.head._2, 0, bad, 1e-3))
+    }
+  }
+
+  for (bad <- Seq(-1.0, Double.NaN)) {
+    test(s"RPPR rejects θ = $bad") {
+      intercept[IllegalArgumentException](Rppr.rppr(graphs.head._2, 0, c, bad))
+    }
+    test(s"BRPPR rejects κ = $bad") {
+      intercept[IllegalArgumentException](Rppr.brppr(graphs.head._2, 0, c, bad))
+    }
+  }
+
+  test("θ = 0 and κ = 0 are legal") {
+    val g = GraphGen.rmat(8, 600, 7)
+    val exact = LocalCpi.rwr(g, 0, c, 1e-12)
+    assert(Metrics.l1(exact, Rppr.rppr(g, 0, c, 0.0)) < 1e-9)
+    assert(Metrics.l1(exact, Rppr.brppr(g, 0, c, 0.0)) < 1e-9)
+  }
+
   test("coarse RPPR concentrates mass near the seed (locality)") {
     val g = GraphGen.communities(200, 5, 1200, 0.9, 23)
     val r = Rppr.rppr(g, 0, c, 1e-3)

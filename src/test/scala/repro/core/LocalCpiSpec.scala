@@ -11,8 +11,8 @@ import repro.metrics.Metrics
 /** CPI-IMPL (Algorithm 1) correctness: Theorem 1 (CPI = PI), agreement
   * with an independent dense solve, the exact L1 norms of Lemma 3, the
   * family/neighbor/stranger partition identity, and bit-identity of the
-  * sparse-frontier kernel with the plain dense loop in every mode,
-  * including the pull team of converging runs, and which runs start one.
+  * sparse-frontier kernel of bounded windows and of the pull team of
+  * converging runs with the plain dense loop, and the input checks.
   */
 class LocalCpiSpec extends AnyFunSuite {
   val c = 0.15
@@ -177,13 +177,17 @@ class LocalCpiSpec extends AnyFunSuite {
     */
   val windows = Seq((0, 1), (0, 3), (2, 4), (3, 9), (5, Int.MaxValue), (0, Int.MaxValue))
 
-  /** The kernel's result from `q`, and the path the run took. */
-  final class Run(val r: Array[Double], val dense: Boolean, val pulled: Boolean)
+  /** A bounded window's result from `q` on the scratch, and whether the run went dense. */
+  final class Run(val r: Array[Double], val dense: Boolean)
 
-  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int, tol: Double = eps): Run =
-    LocalCpi.accumulate(g, c, tol, sIter, tIter)(_.startFrom(q)) { sc =>
-      new Run(sc.addTo(new Array[Double](g.n), 1.0), sc.isDense, sc.isPulled)
+  def kernel(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int): Run =
+    LocalCpi.accumulate(g, c, eps, sIter, tIter)(_.startFrom(q)) { sc =>
+      new Run(sc.addTo(new Array[Double](g.n), 1.0), sc.isDense)
     }
+
+  /** `LocalCpi.run` over the window, which may be unbounded. */
+  def window(g: LocalGraph, q: Array[Double], sIter: Int, tIter: Int, tol: Double = eps): Array[Double] =
+    LocalCpi.run(g, q, c, tol, sIter, tIter)
 
   /** L1 = 0 (hard gate < 1e-12), and equal bit for bit. */
   def assertIdentical(actual: Array[Double], expected: Array[Double]): Unit = {
@@ -205,9 +209,9 @@ class LocalCpiSpec extends AnyFunSuite {
       val q = LocalCpi.unitSeed(g.n, seed)
       assert(!kernel(g, q, 0, 1).dense, "the first hop should be sparse")
       for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter).r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
-      // A cycle's frontier never grows, so that run stays sparse to convergence.
-      assert(kernel(g, q, 0, Int.MaxValue).dense == (name != "cycle-50"))
+        assertIdentical(window(g, q, sIter, tIter), ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      // A cycle's frontier never grows, so that window stays sparse to convergence.
+      assert(kernel(g, q, 0, 1000).dense == (name != "cycle-50"))
     }
   }
 
@@ -216,7 +220,7 @@ class LocalCpiSpec extends AnyFunSuite {
       val q = LocalCpi.uniformSeed(g.n)
       assert(kernel(g, q, 0, 1).dense)
       for ((sIter, tIter) <- windows)
-        assertIdentical(kernel(g, q, sIter, tIter).r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+        assertIdentical(window(g, q, sIter, tIter), ReferenceCpi.run(g, q, c, eps, sIter, tIter))
     }
   }
 
@@ -230,11 +234,11 @@ class LocalCpiSpec extends AnyFunSuite {
       LocalCpi.unitSeed(g.n, feeder) -> Int.MaxValue,
       LocalCpi.uniformSeed(g.n) -> Int.MaxValue)
     val modes = for ((q, tIter) <- cases) yield {
-      val run = kernel(g, q, 0, tIter)
-      assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
+      val r = window(g, q, 0, tIter)
+      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, tIter))
       val leakFree = if (tIter == Int.MaxValue) 1.0 else 1.0 - math.pow(1 - c, tIter + 1)
-      assert(TestGraphs.norm1(run.r) < leakFree - 1e-6)
-      run.dense
+      assert(TestGraphs.norm1(r) < leakFree - 1e-6)
+      kernel(g, q, 0, math.min(tIter, 1000)).dense
     }
     assert(modes.toSet == Set(false, true))
   }
@@ -244,7 +248,7 @@ class LocalCpiSpec extends AnyFunSuite {
     val unit = LocalCpi.unitSeed(g.n, 3)
     val expected = ReferenceCpi.run(g, unit, c, eps, 0, 2)
     assertIdentical(kernel(g, unit, 0, 2).r, expected)
-    kernel(g, LocalCpi.uniformSeed(g.n), 0, Int.MaxValue)
+    kernel(g, LocalCpi.uniformSeed(g.n), 0, 1000)
     assertIdentical(kernel(g, unit, 0, 2).r, expected)
     for (q <- Seq(unit, LocalCpi.uniformSeed(g.n))) {
       intercept[IllegalStateException] {
@@ -324,9 +328,41 @@ class LocalCpiSpec extends AnyFunSuite {
     assertIdentical(kernel(g, q, 0, 3).r, expected)
   }
 
-  test("team: a graph below the team's edge floor never pulls") {
-    for ((name, g) <- kernelGraphs; q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n)))
-      assert(!kernel(g, q, 0, Int.MaxValue).pulled, name)
+  test("team: converging runs on graphs at or below the team's helper floor equal the dense loop") {
+    for ((name, g) <- kernelGraphs :+ hopGraphs.head) {
+      assert(g.m <= (1 << 14), name)
+      for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n)); sIter <- Seq(0, 5))
+        assertIdentical(window(g, q, sIter, Int.MaxValue), ReferenceCpi.run(g, q, c, eps, sIter, Int.MaxValue))
+      for (seed <- 0 until g.n)
+        assertIdentical(LocalCpi.rwr(g, seed, c, eps), ReferenceCpi.run(g, LocalCpi.unitSeed(g.n, seed), c, eps, 0, Int.MaxValue))
+    }
+  }
+
+  test("run rejects a seed vector entry that is NaN, infinite or negative, and an overflowing mass, on every window") {
+    val g = graphs.head._2
+    val bad = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -1e-300, -1.0)
+    val overflow = Array.fill(g.n)(Double.MaxValue / 4)
+    for (tIter <- Seq(3, Int.MaxValue)) {
+      for (v <- bad) {
+        val q = LocalCpi.uniformSeed(g.n)
+        q(7) = v
+        intercept[IllegalArgumentException](window(g, q, 0, tIter))
+      }
+      intercept[IllegalArgumentException](window(g, overflow, 0, tIter))
+    }
+    // -0.0 is a zero weight.
+    val q = LocalCpi.unitSeed(g.n, 3)
+    q(5) = -0.0
+    assertIdentical(window(g, q, 0, Int.MaxValue), ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
+  }
+
+  test("kernel: the scratch rejects an unbounded window, and is all-zero after") {
+    val g = graphs.head._2
+    val unit = LocalCpi.unitSeed(g.n, 3)
+    intercept[IllegalArgumentException] {
+      LocalCpi.accumulate(g, c, eps, 0, Int.MaxValue)(_.startFrom(unit))(_.isDense)
+    }
+    assertIdentical(kernel(g, unit, 0, 2).r, ReferenceCpi.run(g, unit, c, eps, 0, 2))
   }
 
   /** Graphs on which a converging dense run pulls with a team: two of 300k
@@ -359,21 +395,12 @@ class LocalCpiSpec extends AnyFunSuite {
     LocalGraph.fromEdges(3, pairs.map(_._1).toArray, pairs.map(_._2).toArray)
   }
 
-  /** The window runs with a team exactly when it has no finite end. */
-  def assertPath(run: Run, tIter: Int): Unit = {
-    assert(run.dense)
-    assert(run.pulled == (tIter == Int.MaxValue), s"tIter $tIter")
-  }
-
   for ((name, g) <- teamGraphs :+ multiGraph) {
     test(s"pull hop: a uniform seed equals the dense loop bit for bit on $name") {
       val q = LocalCpi.uniformSeed(g.n)
       assert(kernel(g, q, 0, 1).dense)
-      for ((sIter, tIter) <- windows) {
-        val run = kernel(g, q, sIter, tIter)
-        assertPath(run, tIter)
-        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
-      }
+      for ((sIter, tIter) <- windows)
+        assertIdentical(window(g, q, sIter, tIter), ReferenceCpi.run(g, q, c, eps, sIter, tIter))
     }
   }
 
@@ -381,32 +408,27 @@ class LocalCpiSpec extends AnyFunSuite {
     test(s"pull hop: a unit-seed run that goes dense mid-way equals the dense loop bit for bit on $name") {
       val q = LocalCpi.unitSeed(g.n, 7)
       assert(!kernel(g, q, 0, 1).dense, "the first hop should be sparse")
-      assert(kernel(g, q, 0, Int.MaxValue).dense, "the run should go dense")
-      for ((sIter, tIter) <- windows) {
-        val run = kernel(g, q, sIter, tIter)
-        if (tIter == Int.MaxValue) assertPath(run, tIter) else assert(!run.pulled)
-        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
-      }
+      assert(kernel(g, q, 3, 9).dense, "the window should go dense")
+      for ((sIter, tIter) <- windows)
+        assertIdentical(window(g, q, sIter, tIter), ReferenceCpi.run(g, q, c, eps, sIter, tIter))
     }
 
     test(s"team: bounded windows never pull on $name") {
       for (s <- 1 to 4) {
         val q = LocalCpi.unitSeed(g.n, 7)
-        // Tpa.family's own call.
-        assert(!LocalCpi.accumulate(g, c, eps, 0, s - 1)(_.startAt(7))(_.isPulled), s"S=$s")
         assertIdentical(Tpa.family(g, c, s, 7, eps), ReferenceCpi.run(g, q, c, eps, 0, s - 1))
       }
       // A long finite window converges before tIter, with the push scan.
       val uniform = LocalCpi.uniformSeed(g.n)
       val run = kernel(g, uniform, 0, 1000)
-      assert(run.dense && !run.pulled)
+      assert(run.dense)
       assertIdentical(run.r, ReferenceCpi.run(g, uniform, c, eps, 0, 1000))
     }
   }
 
-  test("team: a converging run pulls from the hop it goes dense, though its frontier never reaches m/2 out-edges") {
-    // Two disjoint parts; a unit seed in the small one goes dense, but its
-    // frontier's out-edges stay below the small part's edge count.
+  test("team: a converging run from a seed in the smaller of two disjoint parts equals the dense loop") {
+    // Two disjoint parts; the large one holds no score of a unit seed in
+    // the small one, and its frontier's out-edges stay below m/2.
     val small = TestGraphs.random(2000, 8000, 34)
     val large = TestGraphs.random(6000, 40000, 35)
     def edges(part: LocalGraph, shift: Int): Seq[(Int, Int)] =
@@ -417,9 +439,9 @@ class LocalCpiSpec extends AnyFunSuite {
     assert(g.m > (1 << 14) && 2 * small.m < g.m)
     val q = LocalCpi.unitSeed(g.n, 7)
     for ((sIter, tIter) <- windows) {
-      val run = kernel(g, q, sIter, tIter)
-      if (tIter == Int.MaxValue) assertPath(run, tIter) else assert(!run.pulled)
-      assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      val r = window(g, q, sIter, tIter)
+      assertIdentical(r, ReferenceCpi.run(g, q, c, eps, sIter, tIter))
+      assert((small.n until g.n).forall(r(_) == 0.0))
     }
   }
 
@@ -428,10 +450,9 @@ class LocalCpiSpec extends AnyFunSuite {
       val dangling = g.n - 1
       assert(g.outDeg(dangling) == 0 && g.inDeg(dangling) > 0, name)
       for (q <- Seq(LocalCpi.unitSeed(g.n, 0), LocalCpi.uniformSeed(g.n))) {
-        val run = kernel(g, q, 0, Int.MaxValue)
-        assertPath(run, Int.MaxValue)
-        assertIdentical(run.r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
-        assert(TestGraphs.norm1(run.r) < 1.0 - 1e-6, name)
+        val r = window(g, q, 0, Int.MaxValue)
+        assertIdentical(r, ReferenceCpi.run(g, q, c, eps, 0, Int.MaxValue))
+        assert(TestGraphs.norm1(r) < 1.0 - 1e-6, name)
       }
     }
   }
@@ -439,23 +460,23 @@ class LocalCpiSpec extends AnyFunSuite {
   test("team: eps at, and one ulp above, a hop's ascending norm stops on the dense loop's hop") {
     // The team sums its chunks' partial norms; near eps it must decide as
     // the dense loop's ascending sum does. A seed of both signs, whose
-    // terms cancel, leaves the partials' rounding unbounded by the norm.
+    // terms would cancel and leave the partials' rounding unbounded by the
+    // norm, is not a restart vector and is rejected.
     val (_, random) = pullGraphs.head
-    val signed = Array.tabulate(random.n)(v => (if (v % 2 == 0) 1e6 else -1e6) + 1.0 / random.n)
-    val cases = Seq(random -> LocalCpi.uniformSeed(random.n), rawGraph._2 -> LocalCpi.uniformSeed(rawGraph._2.n),
-      random -> signed)
+    val cases = Seq(random -> LocalCpi.uniformSeed(random.n), rawGraph._2 -> LocalCpi.uniformSeed(rawGraph._2.n))
     for ((g, q) <- cases; k <- Seq(1, 2, 3, 17, 40)) {
       val xk = ReferenceCpi.run(g, q, c, 0.0, k, k)
       var norm = 0.0
       for (v <- 0 until g.n) norm += xk(v)
       for ((tol, stop) <- Seq(norm -> (k + 1), Math.nextUp(norm) -> k)) {
-        val run = kernel(g, q, 0, Int.MaxValue, tol)
-        assertPath(run, Int.MaxValue)
         val expected = ReferenceCpi.run(g, q, c, tol, 0, Int.MaxValue)
         assertIdentical(expected, ReferenceCpi.run(g, q, c, 0.0, 0, stop))
-        assertIdentical(run.r, expected)
+        assertIdentical(window(g, q, 0, Int.MaxValue, tol), expected)
       }
     }
+    val signed = Array.tabulate(random.n)(v => (if (v % 2 == 0) 1e6 else -1e6) + 1.0 / random.n)
+    for (tIter <- Seq(40, Int.MaxValue))
+      intercept[IllegalArgumentException](window(random, signed, 0, tIter))
   }
 
   /** True once no common-pool thread runs a task: no helper is left. */
@@ -463,20 +484,21 @@ class LocalCpiSpec extends AnyFunSuite {
 
   test("pull hop: scratch is all-zero after a run that throws in pull mode") {
     val (_, g) = pullGraphs.head
+    // The same edges, with a pull layout of their own whose first in-list
+    // entry of the last node is a position outside the graph.
+    val broken = new LocalGraph(g.n, g.offsets, g.targets)
+    val layout = broken.pullLayout
+    layout.sources(layout.inOffsets(layout.position(g.n - 1))) = g.n + 5
     val unit = LocalCpi.unitSeed(g.n, 3)
     val uniform = LocalCpi.uniformSeed(g.n)
     val expectedUnit = ReferenceCpi.run(g, unit, c, eps, 0, 2)
     val expectedUniform = ReferenceCpi.run(g, uniform, c, eps, 0, 4)
     for (q <- Seq(unit, uniform)) {
-      intercept[IllegalStateException] {
-        LocalCpi.accumulate(g, c, eps, 0, Int.MaxValue)(_.startFrom(q)) { sc =>
-          assert(sc.isPulled)
-          throw new IllegalStateException
-        }
-      }
+      intercept[ArrayIndexOutOfBoundsException](window(broken, q, 0, Int.MaxValue))
       assert(poolQuiet())
       assertIdentical(kernel(g, unit, 0, 2).r, expectedUnit)
       assertIdentical(kernel(g, uniform, 0, 4).r, expectedUniform)
+      assertIdentical(window(g, q, 5, Int.MaxValue), ReferenceCpi.run(g, q, c, eps, 5, Int.MaxValue))
     }
   }
 
@@ -494,9 +516,7 @@ class LocalCpiSpec extends AnyFunSuite {
     for (_ <- 0 until 5) {
       intercept[ArrayIndexOutOfBoundsException](LocalCpi.run(broken, uniform, c, eps, 0, Int.MaxValue))
       assert(poolQuiet())
-      val run = kernel(clean, uniform, 0, Int.MaxValue)
-      assert(run.pulled)
-      assertIdentical(run.r, ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
+      assertIdentical(window(clean, uniform, 0, Int.MaxValue), ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
     }
   }
 
@@ -517,9 +537,7 @@ class LocalCpiSpec extends AnyFunSuite {
     }
     // Mended, the same graph builds its layout anew.
     targets(j) = clean.targets(j)
-    val run = kernel(broken, uniform, 0, Int.MaxValue)
-    assert(run.pulled)
-    assertIdentical(run.r, ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
+    assertIdentical(window(broken, uniform, 0, Int.MaxValue), ReferenceCpi.run(clean, uniform, c, eps, 0, Int.MaxValue))
     for (v <- 0 until clean.n) assert(broken.inDeg(v) == clean.inDeg(v), s"in-degree of $v")
   }
 

@@ -3,8 +3,8 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for bench suites: prints each experiment's table under a
-  * recognizable banner so `bench_output.txt` doubles as the measured side
-  * of EXPERIMENTS.md. Only [[SparkScaleBench]] starts Spark.
+  * recognizable banner so the output of `sbt bench/test` doubles as the
+  * measured side of EXPERIMENTS.md. Only [[SparkScaleBench]] starts Spark.
   */
 trait BenchBase extends AnyFunSuite {
   def banner(title: String, body: String): Unit = {

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.experiments.{Experiments, SparkScale}
 import repro.graph.Datasets
 
@@ -65,11 +64,7 @@ object TSweepJob extends JobBase {
 object SparkScaleJob extends JobBase {
   val title = "Distributed TPA (DataFrame / GraphX)"
   def run(): String = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("SparkScaleJob")
-      .config("spark.sql.shuffle.partitions", 64)
-      .getOrCreate()
+    val spark = SparkScale.session("SparkScaleJob")
     try SparkScale.report(Datasets.wikilink, SparkScale.run(spark, Datasets.wikilink))
     finally spark.stop()
   }

@@ -35,7 +35,7 @@ object HubPpr {
   }
 
   /** Backward push from target `t` until every residual ≤ `rMax`. Rejects
-    * a `t` outside [0, n), a c outside (0, 1) and a negative or NaN rMax.
+    * a `t` outside [0, n), a c outside (0, 1) and a non-positive or NaN rMax.
     */
   def backwardPush(g: LocalGraph, t: Int, c: Double, rMax: Double): PushResult = {
     LocalGraph.requireSeed(g.n, t)

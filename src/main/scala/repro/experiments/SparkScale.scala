@@ -17,6 +17,20 @@ import scala.collection.mutable
 object SparkScale {
   import Runner._
 
+  /** The session of the tests and `SparkScaleJob`: master `SPARK_MASTER`
+    * or `local[*]`, and one SQL shuffle partition per unit of default
+    * parallelism, the partition count [[GraphGen.edgeFrame]] gives every
+    * edge table. Join planning keeps Spark's defaults.
+    */
+  def session(appName: String): SparkSession = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(appName)
+      .getOrCreate()
+    spark.conf.set("spark.sql.shuffle.partitions", spark.sparkContext.defaultParallelism.toLong)
+    spark
+  }
+
   /** One engine's preprocess and online wall time, and its online
     * vector's accuracy against the driver-side exact RWR.
     */

@@ -168,11 +168,12 @@ object LocalGraph {
   private[repro] def requireSeed(n: Int, seed: Int): Unit =
     require(seed >= 0 && seed < n, s"seed $seed out of range [0, $n)")
 
-  /** Rejects a restart probability c outside (0, 1), and a tolerance
-    * (name -> value) that is negative; NaN fails both.
+  /** Rejects a restart probability c outside (0, 1), and a push tolerance
+    * (name -> value) that is not positive: at 0 a push loop can run
+    * forever on residuals that round back to themselves. NaN fails both.
     */
   private[repro] def requireParams(c: Double, tolerances: (String, Double)*): Unit = {
     require(c > 0 && c < 1, s"restart probability out of range: $c")
-    for ((name, t) <- tolerances) require(t >= 0, s"$name must be >= 0, got $t")
+    for ((name, t) <- tolerances) require(t > 0, s"$name must be > 0, got $t")
   }
 }

@@ -87,11 +87,11 @@ class RpprSpec extends AnyFunSuite {
     }
   }
 
-  test("θ = 0 and κ = 0 are legal") {
+  test("θ = 0, κ = 0 and rMax = 0 are rejected") {
     val g = GraphGen.rmat(8, 600, 7)
-    val exact = LocalCpi.rwr(g, 0, c, 1e-12)
-    assert(Metrics.l1(exact, Rppr.rppr(g, 0, c, 0.0)) < 1e-9)
-    assert(Metrics.l1(exact, Rppr.brppr(g, 0, c, 0.0)) < 1e-9)
+    intercept[IllegalArgumentException](Rppr.rppr(g, 0, c, 0.0))
+    intercept[IllegalArgumentException](Rppr.brppr(g, 0, c, 0.0))
+    intercept[IllegalArgumentException](HubPpr.backwardPush(g, 0, c, 0.0))
   }
 
   test("coarse RPPR concentrates mass near the seed (locality)") {

@@ -65,7 +65,7 @@ object LocalCpi {
     if (tIter != Int.MaxValue)
       return accumulate(g, c, eps, sIter, tIter)(_.startFrom(q))(_.addTo(new Array[Double](g.n), 1.0))
     LocalGraph.requireParams(c); requireStops(eps, tIter)
-    val team = Team(g) // first, so the helpers start while the caller builds the layout or starts the run
+    val team = Team(g.m) // first, so the helpers start while the caller builds the layout or starts the run
     try {
       var arrays = pullArrays.get
       if (arrays == null || arrays(0).length != g.n) { arrays = Array.ofDim[Double](4, g.n); pullArrays.set(arrays) }

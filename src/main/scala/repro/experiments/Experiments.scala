@@ -18,23 +18,55 @@ object Experiments {
 
   // ---- Table II ----
 
-  /** A realized analog next to its paper graph; `dangling` counts nodes
-    * without an out-edge.
+  /** `fromEdges`'s median time over [[BuildRuns]] builds of one edge list,
+    * and the graph the last one built.
     */
-  final case class TableIIRow(spec: DatasetSpec, n: Int, m: Int, dangling: Int, fingerprint: String)
+  final case class Build(p50Ms: Double, graph: LocalGraph)
+
+  /** A realized analog next to its paper graph; `dangling` counts nodes
+    * without an out-edge. `sorted` builds the analog's edges in CSR order,
+    * the order `GraphGen` hands them over in; `shuffled` builds the same
+    * edges in a random order of sources, each source's edges still in CSR
+    * order, so both builds give the analog's own arrays.
+    */
+  final case class TableIIRow(spec: DatasetSpec, n: Int, m: Int, dangling: Int, fingerprint: String,
+                              sorted: Build, shuffled: Build)
+
+  /** Timed builds per edge list, after as many untimed ones. */
+  private val BuildRuns = 21
+
+  private def build(n: Int, src: Array[Int], dst: Array[Int]): Build = {
+    for (_ <- 0 until BuildRuns) LocalGraph.fromEdges(n, src, dst)
+    val runs = Seq.fill(BuildRuns)(time(LocalGraph.fromEdges(n, src, dst)))
+    Build(runs.map(_.ms).sorted.apply(BuildRuns / 2), runs.last.value)
+  }
 
   /** Table II: realized analog statistics next to the paper's graphs. */
   def tableII(): Seq[TableIIRow] =
     Datasets.all.map { spec =>
       val g = spec.graph
-      TableIIRow(spec, g.n, g.m, (0 until g.n).count(g.outDeg(_) == 0), g.fingerprint)
+      val src = new Array[Int](g.m)
+      for (u <- 0 until g.n) java.util.Arrays.fill(src, g.offsets(u), g.offsets(u + 1), u)
+      // Shuffle the sources by a fixed seed, then deal each source's
+      // targets out in CSR order.
+      val rng = new java.util.SplittableRandom(spec.seed)
+      val shuffledSrc = src.clone()
+      for (i <- shuffledSrc.indices.reverse) {
+        val j = rng.nextInt(i + 1)
+        val u = shuffledSrc(i); shuffledSrc(i) = shuffledSrc(j); shuffledSrc(j) = u
+      }
+      val next = g.offsets.clone()
+      val shuffledDst = shuffledSrc.map { u => next(u) += 1; g.targets(next(u) - 1) }
+      TableIIRow(spec, g.n, g.m, (0 until g.n).count(g.outDeg(_) == 0), g.fingerprint,
+        build(g.n, src, g.targets), build(g.n, shuffledSrc, shuffledDst))
     }
 
   def tableIITable(rows: Seq[TableIIRow]): String =
-    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T", "fingerprint"),
+    table(Seq("dataset", "n", "m", "paper n", "paper m", "S", "T", "build (sorted)", "build (shuffled)", "fingerprint"),
       rows.map(r => Seq(r.spec.name, r.n.toString, r.m.toString,
                         r.spec.paperNodes.toString, r.spec.paperEdges.toString,
-                        r.spec.s.toString, r.spec.t.toString, r.fingerprint)))
+                        r.spec.s.toString, r.spec.t.toString,
+                        fmtMs(r.sorted.p50Ms), fmtMs(r.shuffled.p50Ms), r.fingerprint)))
 
   // ---- Figures 1(a) and 3: preprocessing time and memory ----
 

@@ -36,7 +36,8 @@ object Runner {
   /** Arithmetic mean, summed in order. */
   def mean(xs: Seq[Double]): Double = xs.sum / xs.size
 
-  def fmtMs(ms: Double): String = f"$ms%.1f ms"
+  /** One decimal at or above 1 ms, three significant digits below. */
+  def fmtMs(ms: Double): String = if (ms >= 1) f"$ms%.1f ms" else f"$ms%.3g ms"
   def fmtSci(x: Double): String = f"$x%.3e"
   def fmtBytes(b: Long): String =
     if (b >= (1L << 20)) f"${b / 1048576.0}%.2f MB" else f"${b / 1024.0}%.1f KB"

@@ -45,7 +45,7 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val targets: Array[I
     val built = layout
     if (built != null) built
     else {
-      val team = Team(this)
+      val team = Team(m)
       try pullLayout(team) finally team.stop()
     }
   }
@@ -93,38 +93,78 @@ object LocalGraph {
 
   /** Build CSR from parallel edge arrays (src(i) -> dst(i)). Each out-list
     * keeps its edges in input order. Rejects an endpoint outside [0, n),
-    * naming the first edge that has one.
-    *
-    * The count pass takes `src`'s non-decreasing prefix run by run: one
-    * range check and one store per run of equal sources. If that prefix
-    * is all of `src`, the list is already in CSR order and `targets` is a
-    * copy of `dst`; otherwise [[scatter]] builds the CSR.
+    * naming the first edge that has one. A source-sorted list of more
+    * than [[Team.MinEdges]] edges is checked and copied by a team of the
+    * caller and one helper per further core; any other order is built by
+    * the caller alone.
     */
   def fromEdges(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph = {
+    val team = Team(src.length)
+    fromEdges(n, src, dst, team.threads, team)
+  }
+
+  /** [[fromEdges]] in `blocks` blocks on `team`, which it stops: the CSR
+    * of [[copySorted]], or [[scatter]]'s if that finds the list unsorted
+    * or an endpoint outside [0, n). The arrays do not depend on `blocks`.
+    */
+  private[graph] def fromEdges(n: Int, src: Array[Int], dst: Array[Int], blocks: Int, team: Team): LocalGraph = {
+    val copied = try copySorted(n, src, dst, blocks, team) finally team.stop()
+    if (copied != null) copied else scatter(n, src, dst)
+  }
+
+  /** The CSR of a list whose sources do not descend, with `targets` a copy
+    * of `dst`, or null if the sources descend or an endpoint is outside
+    * [0, n). The list is cut into `blocks` blocks of about m/blocks edges,
+    * each cut moved forward to the start of a run of equal sources, so one
+    * source's run lies in one block. In one phase of `team`, each block
+    * checks its sources against [0, n) and against the edge before, from
+    * the edge before its cut on, writing each run's end into `offsets`;
+    * then it copies its slice of `dst` into `targets`, range-checked by one
+    * OR reduction. The caller then gives each node without out-edges the
+    * end of the node before it.
+    */
+  private def copySorted(n: Int, src: Array[Int], dst: Array[Int], blocks: Int, team: Team): LocalGraph = {
     require(n >= 0, s"node count $n is negative")
     require(src.length == dst.length, s"${src.length} sources but ${dst.length} targets")
+    require(blocks >= 1, s"a CSR build needs a block, got $blocks")
     val m = src.length
-    // offsets(u + 1) counts u's edges here, and becomes u's end below.
-    val offsets = new Array[Int](n + 1)
-    var i = 0
-    var last = 0
-    while (i < m && src(i) >= last) {
-      val u = src(i)
-      if (u >= n) requireEndpoints(n, src, dst)
-      var j = i + 1
-      while (j < m && src(j) == u) j += 1
-      offsets(u + 1) = j - i
-      last = u; i = j
+    // Block b holds the edges cut(b) until cut(b + 1).
+    val cut = new Array[Int](blocks + 1)
+    var b = 1
+    while (b <= blocks) {
+      var i = math.max(cut(b - 1), (m.toLong * b / blocks).toInt)
+      while (i > 0 && i < m && src(i) == src(i - 1)) i += 1
+      cut(b) = i
+      b += 1
     }
-    if (i < m) return scatter(n, src, dst)
-    i = 0
-    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
-    // v | (n - 1 - v) is negative exactly when v < 0 or v >= n.
-    var bad = 0
-    i = 0
-    while (i < m) { val v = dst(i); bad |= v | (n - 1 - v); i += 1 }
-    if (bad < 0) requireEndpoints(n, src, dst)
-    new LocalGraph(n, offsets, java.util.Arrays.copyOf(dst, m))
+    val offsets = new Array[Int](n + 1)
+    val targets = new Array[Int](m)
+    val flagged = new Array[Boolean](blocks)
+    team.run(blocks) { b =>
+      val end = cut(b + 1)
+      var i = cut(b)
+      // A negative source before the cut is flagged by its own block.
+      var last = if (i > 0) math.max(src(i - 1), 0) else 0
+      while (i < end && src(i) >= last && src(i) < n) {
+        val u = src(i)
+        var j = i + 1
+        while (j < end && src(j) == u) j += 1
+        offsets(u + 1) = j
+        last = u; i = j
+      }
+      if (i < end) flagged(b) = true
+      else {
+        // v | (n - 1 - v) is negative exactly when v < 0 or v >= n.
+        var bad = 0
+        i = cut(b)
+        while (i < end) { val v = dst(i); targets(i) = v; bad |= v | (n - 1 - v); i += 1 }
+        flagged(b) = bad < 0
+      }
+    }
+    if (flagged.contains(true)) return null
+    var u = 0
+    while (u < n) { if (offsets(u + 1) < offsets(u)) offsets(u + 1) = offsets(u); u += 1 }
+    new LocalGraph(n, offsets, targets)
   }
 
   /** [[fromEdges]] on a list whose sources are not sorted: counts the
@@ -156,7 +196,7 @@ object LocalGraph {
   }
 
   /** Requires every endpoint in [0, n), naming the first edge with one
-    * outside. The loops of [[fromEdges]] call it only once they met one.
+    * outside. [[scatter]] calls it only once it met one.
     */
   private def requireEndpoints(n: Int, src: Array[Int], dst: Array[Int]): Unit = {
     def inRange(u: Int) = u >= 0 && u < n

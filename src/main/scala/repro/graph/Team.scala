@@ -4,8 +4,9 @@ import java.util.concurrent.ForkJoinPool
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
 /** The calling thread plus common-pool helpers, which run one phase after
-  * another: [[PullLayout.build]]'s passes over source blocks, then the
-  * chunks of `repro.core.LocalCpi`'s pull hops. A phase's units are claimed
+  * another: [[LocalGraph.fromEdges]]'s copy of a sorted edge list, or
+  * [[PullLayout.build]]'s passes over source blocks, then the chunks of
+  * `repro.core.LocalCpi`'s pull hops. A phase's units are claimed
   * one at a time from one atomic counter, the highest unclaimed unit first,
   * by the caller too, so the caller can run every unit alone: it waits only
   * for units a running helper claimed, never for a helper the pool has not
@@ -68,17 +69,17 @@ private[repro] final class Team(helpers: Int) {
 
 private[repro] object Team {
 
-  /** A team gets helpers only on a graph of more edges than this: below it
-    * their start and the per-phase claims cost more than the passes they
-    * would split, and the caller alone builds and pulls (DESIGN.md §2).
+  /** A team gets helpers only for more edges than this: below it their
+    * start and the per-phase claims cost more than the passes they would
+    * split, and the caller alone builds and pulls (DESIGN.md §2).
     */
   val MinEdges: Int = 1 << 14
 
   /** The common-pool helpers of a team: one per further core. */
   private val Helpers = Runtime.getRuntime.availableProcessors - 1
 
-  /** A team for `g`: the caller and [[Helpers]] helpers above [[MinEdges]]
-    * edges, the caller alone at or below.
+  /** A team for a pass over `edges` edges: the caller and [[Helpers]]
+    * helpers above [[MinEdges]] edges, the caller alone at or below.
     */
-  def apply(g: LocalGraph): Team = new Team(if (g.m > MinEdges) Helpers else 0)
+  def apply(edges: Int): Team = new Team(if (edges > MinEdges) Helpers else 0)
 }

@@ -5,7 +5,7 @@ import java.util.concurrent.{Callable, CountDownLatch, CyclicBarrier, Executors,
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baselines.PowerIteration
-import repro.graph.{GraphGen, LocalGraph}
+import repro.graph.{GraphGen, LocalGraph, Team}
 import repro.metrics.Metrics
 
 /** CPI-IMPL (Algorithm 1) correctness: Theorem 1 (CPI = PI), agreement
@@ -566,6 +566,13 @@ class LocalCpiSpec extends AnyFunSuite {
       val fresh = new LocalGraph(g.n, g.offsets, g.targets)
       val inDeg = caller.submit(new Callable[Int] { def call(): Int = fresh.inDeg(g.n - 1) })
       assert(inDeg.get(120, TimeUnit.SECONDS) == g.inDeg(g.n - 1))
+      // So does a fresh CSR build above the floor.
+      val src = new Array[Int](g.m)
+      for (u <- 0 until g.n; j <- g.offsets(u) until g.offsets(u + 1)) src(j) = u
+      assert(g.m > Team.MinEdges)
+      val built = caller.submit(new Callable[LocalGraph] { def call(): LocalGraph = LocalGraph.fromEdges(g.n, src, g.targets) })
+      val rebuilt = built.get(120, TimeUnit.SECONDS)
+      assert(rebuilt.offsets.sameElements(g.offsets) && rebuilt.targets.sameElements(g.targets))
     } finally {
       release.countDown()
       caller.shutdown()

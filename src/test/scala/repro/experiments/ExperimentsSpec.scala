@@ -13,11 +13,13 @@ import repro.graph.Datasets
 class ExperimentsSpec extends AnyFunSuite {
 
   test("Table II table: realized n and m, the paper's graph, S, T and the fingerprint") {
-    val row = TableIIRow(Datasets.slashdot, 1024, 6086, 0, "n=1024 m=6086 edge_hash=64dd5a2d09be8a2f")
+    val g = Datasets.slashdot.graph
+    val row = TableIIRow(Datasets.slashdot, 1024, 6086, 0, "n=1024 m=6086 edge_hash=64dd5a2d09be8a2f",
+      Build(0.01234, g), Build(0.0456, g))
     assert(Experiments.tableIITable(Seq(row)) ==
-      "| dataset | n | m | paper n | paper m | S | T | fingerprint |\n" +
-      "| --- | --- | --- | --- | --- | --- | --- | --- |\n" +
-      "| slashdot-s | 1024 | 6086 | 82144 | 549202 | 4 | 15 | n=1024 m=6086 edge_hash=64dd5a2d09be8a2f |\n")
+      "| dataset | n | m | paper n | paper m | S | T | build (sorted) | build (shuffled) | fingerprint |\n" +
+      "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |\n" +
+      "| slashdot-s | 1024 | 6086 | 82144 | 549202 | 4 | 15 | 0.0123 ms | 0.0456 ms | n=1024 m=6086 edge_hash=64dd5a2d09be8a2f |\n")
   }
 
   /** Fig 1(a)'s and Fig 3's data line for google-s: NB-LIN ran, BEAR-APPROX is gated. */
@@ -40,7 +42,7 @@ class ExperimentsSpec extends AnyFunSuite {
     val header = " | TPA | RPPR | BRPPR | NB-LIN | BEAR-APPROX | HubPPR (3 seeds) |\n" +
       "| --- | --- | --- | --- | --- | --- | --- |\n"
     assert(Experiments.fig1bTable(rows) == "| dataset (online time)" + header +
-      "| google-s | 0.2 ms | 1.7 ms | 41.1 ms | 0.4 ms | OOT | OOT |\n")
+      "| google-s | 0.200 ms | 1.7 ms | 41.1 ms | 0.400 ms | OOT | OOT |\n")
     assert(Experiments.fig1cTable(rows) == "| dataset (L1 error)" + header +
       "| google-s | 8.436e-01 | 6.157e-02 | 9.990e-04 | 7.245e-01 | OOT | OOT |\n")
     assert(Experiments.fig4Table(rows) == "| dataset (Spearman)" + header +
@@ -74,7 +76,7 @@ class ExperimentsSpec extends AnyFunSuite {
     assert(Experiments.fig7Table(Seq(Fig7Row("pokec-s", 3, 0.456, 2.5e-4))) ==
       "| dataset | S | online time | L1 error |\n" +
       "| --- | --- | --- | --- |\n" +
-      "| pokec-s | 3 | 0.5 ms | 2.500e-04 |\n")
+      "| pokec-s | 3 | 0.456 ms | 2.500e-04 |\n")
   }
 
   test("Fig 8 table: T, L1 error, Spearman") {

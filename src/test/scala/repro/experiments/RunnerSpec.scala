@@ -27,7 +27,15 @@ class RunnerSpec extends AnyFunSuite {
 
   test("fmtMs and fmtSci format plainly") {
     assert(Runner.fmtMs(12.345) == "12.3 ms")
+    assert(Runner.fmtMs(1.0) == "1.0 ms")
     assert(Runner.fmtSci(0.00123).startsWith("1.230e"))
+  }
+
+  test("fmtMs keeps three significant digits below 1 ms") {
+    assert(Runner.fmtMs(0.98765) == "0.988 ms")
+    assert(Runner.fmtMs(0.5) == "0.500 ms")
+    assert(Runner.fmtMs(0.012345) == "0.0123 ms")
+    assert(Runner.fmtMs(0.0) == "0.00 ms")
   }
 
   test("time measures a thunk and returns its value") {

@@ -269,6 +269,84 @@ class LocalGraphSpec extends AnyFunSuite {
     assert(rejection(100, src, dst).contains("edge 987 (98 -> 100)"))
   }
 
+  /** The CSR of (src, dst) by a stable sort of the edges by source. */
+  private def stableCsr(n: Int, src: Array[Int], dst: Array[Int]): (Seq[Int], Seq[Int]) = {
+    val bySource = src.indices.groupBy(src(_))
+    val offsets = (0 until n).scanLeft(0)((at, u) => at + bySource.get(u).fold(0)(_.size))
+    (offsets, (0 until n).flatMap(u => bySource.get(u).fold(Seq.empty[Int])(_.sorted.map(dst(_)))))
+  }
+
+  /** `fromEdges` in `blocks` blocks, by the caller and three helpers. */
+  private def blockBuild(n: Int, src: Array[Int], dst: Array[Int], blocks: Int): LocalGraph =
+    LocalGraph.fromEdges(n, src, dst, blocks, new Team(3))
+
+  /** The edges of `g` in CSR order: sorted by source, each out-list as built. */
+  private def csrEdges(g: LocalGraph): (Array[Int], Array[Int]) =
+    (Array.tabulate(g.n)(u => Array.fill(g.outDeg(u))(u)).flatten, g.targets.clone())
+
+  private val blockCounts = Seq(1, 2, 3, 8)
+
+  // fromEdges splits a sorted list into one block per core; its arrays must
+  // not depend on that split. Each list here is above the team's edge floor.
+  private val sortedLists: Seq[(String, Int, Array[Int], Array[Int])] = {
+    val rmat = GraphGen.rmat(11, 20000, 3)
+    val (rmatSrc, rmatDst) = csrEdges(rmat)
+    val m = 20000
+    // Nodes 0-9, 490-509 and 990-999 have no out-edge.
+    val gapped = Array.tabulate(m)(i => if (i < m / 2) 10 + i * 480 / (m / 2) else 510 + (i - m / 2) * 480 / (m / 2))
+    Seq(("an rmat list", rmat.n, rmatSrc, rmatDst),
+        ("a star", 50, Array.fill(m)(7), Array.tabulate(m)(_ % 50)),
+        ("a list with gaps at the start, middle and end", 1000, gapped, Array.tabulate(m)(i => (i * 7) % 1000)))
+  }
+
+  for ((name, n, src, dst) <- sortedLists) {
+    test(s"fromEdges gives the same CSR for 1, 2, 3, 8 and m + 3 blocks on $name") {
+      assert(src.length > Team.MinEdges && src.sameElements(src.sorted))
+      val (offsets, targets) = stableCsr(n, src, dst)
+      for (blocks <- blockCounts :+ (src.length + 3)) {
+        val g = blockBuild(n, src, dst, blocks)
+        assert(g.offsets.toSeq == offsets && g.targets.toSeq == targets, s"$blocks blocks")
+      }
+      val g = LocalGraph.fromEdges(n, src, dst)
+      assert(g.offsets.toSeq == offsets && g.targets.toSeq == targets)
+    }
+  }
+
+  test("fromEdges falls back to the scatter on a list whose only descent is at a block cut") {
+    // Runs of three edges per source; edge m/2 - 1 (the end of source
+    // 3999's run) now has source 4001, one above the 4000 at the cut m/2
+    // of 2 and 8 blocks.
+    val m = 24000
+    val src = Array.tabulate(m)(_ / 3)
+    src(m / 2 - 1) = 4001
+    val dst = Array.tabulate(m)(i => (i * 13) % 8000)
+    assert((1 until m).filter(i => src(i) < src(i - 1)) == Seq(m / 2))
+    val (offsets, targets) = stableCsr(8000, src, dst)
+    for (blocks <- blockCounts :+ (m + 3)) {
+      val g = blockBuild(8000, src, dst, blocks)
+      assert(g.offsets.toSeq == offsets && g.targets.toSeq == targets, s"$blocks blocks")
+    }
+  }
+
+  test("fromEdges names the first bad edge in the last block, for any block count") {
+    val m = 20000
+    val n = m / 4
+    def sorted = (Array.tabulate(m)(_ / 4), Array.tabulate(m)(i => i % n))
+    def reject(src: Array[Int], dst: Array[Int], blocks: Int): String =
+      intercept[IllegalArgumentException](blockBuild(n, src, dst, blocks)).getMessage
+    for (blocks <- blockCounts :+ (m + 3)) {
+      val (src, dst) = sorted
+      for (i <- m - 5 until m) src(i) = n
+      assert(reject(src, dst, blocks).contains(s"edge ${m - 5} ($n -> ${(m - 5) % n})"), s"$blocks blocks")
+      val (src2, dst2) = sorted
+      dst2(m - 3) = -1; dst2(m - 1) = n
+      assert(reject(src2, dst2, blocks).contains(s"edge ${m - 3} (${(m - 3) / 4} -> -1)"), s"$blocks blocks")
+      // Sources that ascend from negative ids: the first edge is the first bad one.
+      val (src3, dst3) = (Array.tabulate(m)(i => i / 4 - n / 2), dst)
+      assert(reject(src3, dst3, blocks).contains(s"edge 0 (${-n / 2} -> 0)"), s"$blocks blocks")
+    }
+  }
+
   test("fromEdges names a bad target before a later bad source, sorted or not") {
     // sorted: the bad source 9 is the last edge
     assert(rejection(4, Array(0, 1, 1, 2, 9), Array(1, 2, -3, 0, 0)).contains("edge 2 (1 -> -3)"))

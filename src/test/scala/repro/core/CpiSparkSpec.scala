@@ -79,6 +79,23 @@ class CpiSparkSpec extends SparkSpec {
       assert(Metrics.l1(Cpi.toDense(e.run(Node(feeder), c, 0.0, 0, 4), dg.n), window) < 1e-10)
       assert(Metrics.l1(Cpi.toDense(e.run(Uniform(dg.n.toLong), c, eps, 0, Int.MaxValue), dg.n), pagerank) < 1e-9)
     }
+
+    test(s"$engine TpaSpark onlineNA equals local TPA-NA") {
+      val s = 3; val t = 6; val seed = 4
+      val sparkNa = Cpi.toDense(TpaSpark.onlineNA(engines(engine), c, s, t, seed.toLong, 0.0), g.n)
+      val localNa = Tpa.onlineNA(g, c, s, t, seed, 0.0)
+      assert(Metrics.l1(sparkNa, localNa) < 1e-10)
+    }
+
+    test(s"$engine distributed TPA satisfies the Theorem 2 bound (ε=1e-4)") {
+      val eps = 1e-4
+      val s = 3; val t = 8; val seed = 21
+      val e = engines(engine)
+      val strangerDf = TpaSpark.preprocess(e, g.n.toLong, c, eps, t)
+      val sparkTpa = Cpi.toDense(TpaSpark.online(e, strangerDf, c, s, t, seed.toLong, eps), g.n)
+      val exact = LocalCpi.rwr(g, seed, c, 1e-12)
+      assert(Metrics.l1(exact, sparkTpa) <= Tpa.accuracyBound(c, s) + 1e-3)
+    }
   }
 
   test("TpaSpark preprocess equals local stranger vector (ε=1e-4)") {
@@ -101,22 +118,14 @@ class CpiSparkSpec extends SparkSpec {
     assert(Metrics.l1(sparkTpa, localTpa) < 1e-9)
   }
 
-  test("GraphX TpaSpark online equals local TPA online (shared ε=1e-2 stranger)") {
-    val eps = 1e-2
+  test("GraphX TpaSpark online equals local TPA online (shared ε=1e-4 stranger)") {
+    val eps = 1e-4
     val s = 3; val t = 6; val seed = 11
     val gx = engines("GraphX")
     val strangerDf = TpaSpark.preprocess(gx, g.n.toLong, c, eps, t)
     val sparkTpa = Cpi.toDense(TpaSpark.online(gx, strangerDf, c, s, t, seed.toLong, eps), g.n)
     val localTpa = Tpa.online(g, Tpa.preprocess(g, c, eps, t), s, seed, eps)
     assert(Metrics.l1(sparkTpa, localTpa) < 1e-9)
-  }
-
-  test("TpaSpark onlineNA equals local TPA-NA") {
-    val s = 3; val t = 6; val seed = 4
-    val sparkNa = Cpi.toDense(
-      TpaSpark.onlineNA(engines("DataFrame"), c, s, t, seed.toLong, 0.0), g.n)
-    val localNa = Tpa.onlineNA(g, c, s, t, seed, 0.0)
-    assert(Metrics.l1(sparkNa, localNa) < 1e-10)
   }
 
   /** Inputs that fail any job that reads their edges, so a call that is
@@ -177,14 +186,4 @@ class CpiSparkSpec extends SparkSpec {
   test("TpaSpark.online and onlineNA reject S < 1") { onlineRejects(0, 6, 1L) }
 
   test("TpaSpark.online and onlineNA reject S > T") { onlineRejects(6, 5, 1L) }
-
-  test("distributed TPA satisfies the Theorem 2 bound (ε=1e-4)") {
-    val eps = 1e-4
-    val s = 3; val t = 8; val seed = 21
-    val strangerDf = TpaSpark.preprocess(spark, norm, g.n.toLong, c, eps, t)
-    val sparkTpa = Cpi.toDense(
-      TpaSpark.online(spark, norm, strangerDf, c, s, t, seed.toLong, eps), g.n)
-    val exact = LocalCpi.rwr(g, seed, c, 1e-12)
-    assert(Metrics.l1(exact, sparkTpa) <= Tpa.accuracyBound(c, s) + 1e-3)
-  }
 }

@@ -44,7 +44,7 @@ class LocalGraphSpec extends AnyFunSuite {
   /** The reference in-lists: every edge flipped, in CSR order, then
     * `fromEdges`; out-list v of the result is in-list v of `g`.
     */
-  private def reverseViaFromEdges(g: LocalGraph): LocalGraph = {
+  private def flippedViaFromEdges(g: LocalGraph): LocalGraph = {
     val src = new Array[Int](g.m)
     val dst = new Array[Int](g.m)
     for (u <- 0 until g.n; j <- g.offsets(u) until g.offsets(u + 1)) { src(j) = g.targets(j); dst(j) = u }
@@ -56,7 +56,7 @@ class LocalGraphSpec extends AnyFunSuite {
     LocalGraph.fromEdges(30, src ++ Array(0, 0, 5, 5, 5), dst ++ Array(0, 0, 7, 7, 5))
   }
 
-  val reverseCases = Seq(
+  val inListCases = Seq(
     "random-200" -> TestGraphs.random(200, 1200, 1),
     "communities-240" -> GraphGen.communities(240, 6, 1400, 0.85, 2),
     "with-dangling-100" -> TestGraphs.withDangling(100, 500, 3),
@@ -70,11 +70,9 @@ class LocalGraphSpec extends AnyFunSuite {
 
   private def outList(g: LocalGraph, u: Int): Seq[Int] = g.targets.slice(g.offsets(u), g.offsets(u + 1)).toSeq
 
-  // "reverse" in these names is the by-node in-list view, `foreachIn` and
-  // `inDeg`, checked against the flipped edges' `fromEdges` build.
-  for ((name, g) <- reverseCases) {
-    test(s"reverse equals the fromEdges build of the flipped edges, array for array, on $name") {
-      val expected = reverseViaFromEdges(g)
+  for ((name, g) <- inListCases) {
+    test(s"foreachIn and inDeg equal the flipped edges' fromEdges build, array for array, on $name") {
+      val expected = flippedViaFromEdges(g)
       for (v <- 0 until g.n) {
         assert(inList(g, v) == outList(expected, v), s"in-list of $v")
         assert(g.inDeg(v) == expected.outDeg(v), s"in-degree of $v")
@@ -84,7 +82,7 @@ class LocalGraphSpec extends AnyFunSuite {
     // LocalCpi's pull team sums each in-list in list order. Ascending sources
     // are the order in which the push scan adds the same terms, so this
     // invariant is what makes the pull hop bit-identical to it.
-    test(s"every in-list of reverse is in ascending source order on $name") {
+    test(s"every foreachIn in-list is in ascending source order on $name") {
       for (v <- 0 until g.n) {
         val list = inList(g, v)
         assert(list == list.sorted, s"in-list of $v")
@@ -101,7 +99,7 @@ class LocalGraphSpec extends AnyFunSuite {
     * one source block per core.
     */
   private val aboveFloor = "random-1000" -> TestGraphs.random(1000, 20000, 5)
-  private val layoutCases = reverseCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1)) :+ aboveFloor
+  private val layoutCases = inListCases :+ ("rmat-128" -> GraphGen.rmat(7, 800, 1)) :+ aboveFloor
 
   /** `PullLayout.build` in `chunks` chunks and `blocks` source blocks, by
     * the caller and three helpers.
@@ -117,7 +115,7 @@ class LocalGraphSpec extends AnyFunSuite {
   // push scan.
   for ((name, g) <- layoutCases) {
     test(s"pull layout: one (in-degree, id) order with position in-lists and out-degrees, for any chunk count, on $name") {
-      val rev = reverseViaFromEdges(g)
+      val rev = flippedViaFromEdges(g)
       val layouts = g.pullLayout +: Seq(1, 2, 3, 8, g.n + 3).map(build(g, _, 1))
       val order = (0 until g.n).sortBy(v => (rev.outDeg(v), v))
       for (layout <- layouts) {
@@ -139,7 +137,7 @@ class LocalGraphSpec extends AnyFunSuite {
     // The build splits its passes over the edges into source blocks, one
     // per core; its arrays must not depend on that split.
     test(s"pull layout: all six arrays equal the flipped edges' for 1, 2, 3, 8 and n + 3 source blocks on $name") {
-      val rev = reverseViaFromEdges(g)
+      val rev = flippedViaFromEdges(g)
       val nodes = (0 until g.n).sortBy(v => (rev.outDeg(v), v)).toArray
       val position = new Array[Int](g.n)
       for (p <- 0 until g.n) position(nodes(p)) = p
